@@ -25,7 +25,7 @@ void validate_queues(const std::vector<QueueConfig>& queues) {
       throw std::invalid_argument("QueueConfig: bad width window on queue " +
                                   q.name);
     }
-    if (q.max_walltime < 0 || q.node_limit < 0) {
+    if (q.node_limit < 0) {
       throw std::invalid_argument("QueueConfig: negative limit on queue " +
                                   q.name);
     }

@@ -586,8 +586,8 @@ void BatchScheduler::handle_finish(std::size_t record) {
         cancel_descendants(record);
       } else {
         for (const int id : dag_.mark_finished(rec.spec.id)) {
-          const auto it = id_index_.find(id);
-          if (it != id_index_.end()) release_record(it->second);
+          const auto child = id_index_.find(id);
+          if (child != id_index_.end()) release_record(child->second);
         }
       }
     }

@@ -136,6 +136,8 @@ RunResult run_once(const RunConfig& config, std::uint64_t seed) {
   result.cpu_migrations = counts.cpu_migrations;
   result.preemptions = counts.preemptions;
   result.wakeups = counts.wakeups;
+  result.events = engine.stats().dispatched;
+  result.ticks = kernel.counters().ticks;
 
   // Energy over the measurement window (delta of the kernel's aggregates).
   if (!window_closed) {

@@ -65,6 +65,10 @@ struct RunResult {
   std::uint64_t cpu_migrations = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t wakeups = 0;
+  /// Simulation cost of the whole run, settle phase included: engine events
+  /// dispatched and periodic ticks handled.  Pure functions of the seed.
+  std::uint64_t events = 0;
+  std::uint64_t ticks = 0;
   // Power-model outputs over the measurement window (paper future work).
   double energy_joules = 0.0;
   double spin_seconds = 0.0;  // CPU time burnt busy-waiting at match points

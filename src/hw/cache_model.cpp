@@ -9,13 +9,29 @@ CacheModel::CacheModel(const Topology& topo, CacheParams params)
     : topo_(topo), params_(params),
       thread_run_clock_(static_cast<std::size_t>(topo.num_cpus()), 0) {}
 
-void CacheModel::on_task_created(int tid) {
-  tasks_[tid] = TaskState{.cpu = kInvalidCpu,
-                          .warmth = params_.initial_warmth,
-                          .clock_snapshot = 0};
+void CacheModel::on_task_created(int slot) {
+  if (slot < 0) throw std::logic_error("CacheModel: negative slot");
+  const auto i = static_cast<std::size_t>(slot);
+  if (i >= tasks_.size()) tasks_.resize(i + 1);
+  tasks_[i] = TaskState{.cpu = kInvalidCpu,
+                        .warmth = params_.initial_warmth,
+                        .clock_snapshot = 0,
+                        .live = true};
 }
 
-void CacheModel::on_task_exit(int tid) { tasks_.erase(tid); }
+void CacheModel::on_task_exit(int slot) {
+  if (slot >= 0 && static_cast<std::size_t>(slot) < tasks_.size()) {
+    tasks_[static_cast<std::size_t>(slot)].live = false;
+  }
+}
+
+std::size_t CacheModel::index_of(int slot) const {
+  const auto i = static_cast<std::size_t>(slot);
+  if (slot < 0 || i >= tasks_.size() || !tasks_[i].live) {
+    throw std::logic_error("CacheModel: unknown task");
+  }
+  return i;
+}
 
 double CacheModel::decayed_warmth(const TaskState& state) const {
   if (state.cpu == kInvalidCpu) return state.warmth;
@@ -30,10 +46,8 @@ double CacheModel::decayed_warmth(const TaskState& state) const {
   return state.warmth * decay;
 }
 
-void CacheModel::note_placed(int tid, CpuId cpu) {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) throw std::logic_error("CacheModel: unknown task");
-  TaskState& state = it->second;
+void CacheModel::note_placed(int slot, CpuId cpu) {
+  TaskState& state = tasks_[index_of(slot)];
   if (state.cpu == cpu || state.cpu == kInvalidCpu ||
       topo_.caches_shared(state.cpu, cpu)) {
     // Same thread, first placement, or a shared-cache move: keep the
@@ -47,11 +61,9 @@ void CacheModel::note_placed(int tid, CpuId cpu) {
   state.clock_snapshot = thread_run_clock_[static_cast<std::size_t>(cpu)];
 }
 
-void CacheModel::note_ran(int tid, CpuId cpu, SimDuration ran) {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) throw std::logic_error("CacheModel: unknown task");
-  TaskState& state = it->second;
-  if (state.cpu != cpu) note_placed(tid, cpu);  // defensive
+void CacheModel::note_ran(int slot, CpuId cpu, SimDuration ran) {
+  TaskState& state = tasks_[index_of(slot)];
+  if (state.cpu != cpu) note_placed(slot, cpu);  // defensive
   auto& clock = thread_run_clock_[static_cast<std::size_t>(cpu)];
   // Warm up towards the ceiling: w' = W - (W - w) * exp(-ran / warm_tau).
   const double ceiling = params_.max_warmth;
@@ -63,14 +75,12 @@ void CacheModel::note_ran(int tid, CpuId cpu, SimDuration ran) {
   state.clock_snapshot = clock;
 }
 
-double CacheModel::speed_factor(int tid, CpuId cpu) const {
-  return 1.0 / (1.0 + params_.miss_penalty * (1.0 - warmth(tid, cpu)));
+double CacheModel::speed_factor(int slot, CpuId cpu) const {
+  return 1.0 / (1.0 + params_.miss_penalty * (1.0 - warmth(slot, cpu)));
 }
 
-double CacheModel::warmth(int tid, CpuId cpu) const {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) throw std::logic_error("CacheModel: unknown task");
-  const TaskState& state = it->second;
+double CacheModel::warmth(int slot, CpuId cpu) const {
+  const TaskState& state = tasks_[index_of(slot)];
   if (state.cpu == cpu) return decayed_warmth(state);
   if (state.cpu != kInvalidCpu && topo_.caches_shared(state.cpu, cpu)) {
     return decayed_warmth(state);

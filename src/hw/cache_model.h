@@ -22,9 +22,13 @@
 // cold tasks run at 1/(1+miss_penalty) of peak.  Speed is sampled at every
 // scheduling event and held constant in between; the kernel re-samples at
 // least every few milliseconds, bounding the integration error.
+//
+// Tasks are named by a dense slot (the kernel's Task::hw_slot), not a tid:
+// state lives in a vector indexed by slot, and a slot is reused after its
+// task exits, so lookups on every tick are an index, not a hash.
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "hw/topology.h"
@@ -55,23 +59,31 @@ class CacheModel {
  public:
   CacheModel(const Topology& topo, CacheParams params);
 
-  void on_task_created(int tid);
-  void on_task_exit(int tid);
+  /// Start tracking a new task in `slot` (>= 0), from initial_warmth; a
+  /// reused slot keeps nothing of its previous task.
+  void on_task_created(int slot);
+  void on_task_exit(int slot);
 
-  /// Called when `tid` is switched in on `cpu`.  Applies migration cold-miss
-  /// and pollution decay so that a subsequent speed_factor() is current.
-  void note_placed(int tid, CpuId cpu);
+  /// Called when the task in `slot` is switched in on `cpu`.  Applies
+  /// migration cold-miss and pollution decay so that a subsequent
+  /// speed_factor() is current.  Every per-task call throws
+  /// std::logic_error("... unknown task") for a slot with no live task.
+  void note_placed(int slot, CpuId cpu);
 
-  /// Charge `ran` nanoseconds of execution by `tid` on `cpu`: warms the
-  /// task's cache and advances the thread's pollution clock for everyone
-  /// else who last ran there.
-  void note_ran(int tid, CpuId cpu, SimDuration ran);
+  /// Charge `ran` nanoseconds of execution by the task in `slot` on `cpu`:
+  /// warms the task's cache and advances the thread's pollution clock for
+  /// everyone else who last ran there.
+  void note_ran(int slot, CpuId cpu, SimDuration ran);
 
   /// Cache component of the task's execution speed on `cpu`, in (0, 1].
-  double speed_factor(int tid, CpuId cpu) const;
+  double speed_factor(int slot, CpuId cpu) const;
 
   /// Current warmth the task would have if placed on `cpu` now.
-  double warmth(int tid, CpuId cpu) const;
+  double warmth(int slot, CpuId cpu) const;
+
+  /// Slots with storage: the peak number of tasks ever live at once when
+  /// slots are recycled densely.
+  std::size_t slots() const { return tasks_.size(); }
 
   const CacheParams& params() const { return params_; }
 
@@ -80,14 +92,18 @@ class CacheModel {
     CpuId cpu = kInvalidCpu;        // hardware thread of last execution
     double warmth = 0.0;            // warmth at snapshot time
     SimDuration clock_snapshot = 0; // thread run clock at last update
+    bool live = false;              // a task occupies this slot
   };
+
+  /// Index of `slot` in tasks_; throws unless a live task holds it.
+  std::size_t index_of(int slot) const;
 
   /// Warmth of `state` as of now, given pollution accumulated on its thread.
   double decayed_warmth(const TaskState& state) const;
 
   const Topology& topo_;
   CacheParams params_;
-  std::unordered_map<int, TaskState> tasks_;
+  std::vector<TaskState> tasks_;  // indexed by slot
   std::vector<SimDuration> thread_run_clock_;  // execution time per HW thread
 };
 

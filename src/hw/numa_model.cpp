@@ -8,20 +8,33 @@ namespace hpcs::hw {
 NumaModel::NumaModel(const Topology& topo, NumaParams params)
     : topo_(topo), params_(params) {}
 
-void NumaModel::on_task_created(int tid) {
-  tasks_[tid] = TaskState{
-      .home = -1,
-      .accrued = 0,
-      .per_chip = std::vector<SimDuration>(
-          static_cast<std::size_t>(topo_.num_chips()), 0)};
+void NumaModel::on_task_created(int slot) {
+  if (slot < 0) throw std::logic_error("NumaModel: negative slot");
+  const auto i = static_cast<std::size_t>(slot);
+  if (i >= tasks_.size()) tasks_.resize(i + 1);
+  TaskState& state = tasks_[i];
+  state.home = -1;
+  state.accrued = 0;
+  state.per_chip.assign(static_cast<std::size_t>(topo_.num_chips()), 0);
+  state.live = true;
 }
 
-void NumaModel::on_task_exit(int tid) { tasks_.erase(tid); }
+void NumaModel::on_task_exit(int slot) {
+  if (slot >= 0 && static_cast<std::size_t>(slot) < tasks_.size()) {
+    tasks_[static_cast<std::size_t>(slot)].live = false;
+  }
+}
 
-void NumaModel::note_ran(int tid, CpuId cpu, SimDuration ran) {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) throw std::logic_error("NumaModel: unknown task");
-  TaskState& state = it->second;
+std::size_t NumaModel::index_of(int slot) const {
+  const auto i = static_cast<std::size_t>(slot);
+  if (slot < 0 || i >= tasks_.size() || !tasks_[i].live) {
+    throw std::logic_error("NumaModel: unknown task");
+  }
+  return i;
+}
+
+void NumaModel::note_ran(int slot, CpuId cpu, SimDuration ran) {
+  TaskState& state = tasks_[index_of(slot)];
   if (state.home >= 0) return;
   state.per_chip[static_cast<std::size_t>(topo_.chip_of(cpu))] += ran;
   state.accrued += ran;
@@ -32,18 +45,16 @@ void NumaModel::note_ran(int tid, CpuId cpu, SimDuration ran) {
   }
 }
 
-double NumaModel::speed_factor(int tid, CpuId cpu) const {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) throw std::logic_error("NumaModel: unknown task");
-  const TaskState& state = it->second;
+double NumaModel::speed_factor(int slot, CpuId cpu) const {
+  const TaskState& state = tasks_[index_of(slot)];
   if (state.home < 0 || state.home == topo_.chip_of(cpu)) return 1.0;
   return 1.0 - params_.remote_penalty;
 }
 
-int NumaModel::home_chip(int tid) const {
-  auto it = tasks_.find(tid);
-  if (it == tasks_.end()) return -1;
-  return it->second.home;
+int NumaModel::home_chip(int slot) const {
+  if (slot < 0 || static_cast<std::size_t>(slot) >= tasks_.size()) return -1;
+  const TaskState& state = tasks_[static_cast<std::size_t>(slot)];
+  return state.live ? state.home : -1;
 }
 
 }  // namespace hpcs::hw

@@ -8,9 +8,11 @@
 // the dominant term behind the paper's observation that CPU migrations
 // correlate with multi-second execution-time degradation (Fig. 3a): one
 // cross-chip migration can tax a rank for the rest of the run.
+//
+// Tasks are named by dense, recycled slots, as in the cache model.
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "hw/topology.h"
@@ -30,19 +32,24 @@ class NumaModel {
  public:
   NumaModel(const Topology& topo, NumaParams params);
 
-  void on_task_created(int tid);
-  void on_task_exit(int tid);
+  /// Start tracking a new, unhomed task in `slot` (>= 0).
+  void on_task_created(int slot);
+  void on_task_exit(int slot);
 
   /// Charge execution: before the first-touch window closes this accrues
-  /// residency and then pins the task's memory home.
-  void note_ran(int tid, CpuId cpu, SimDuration ran);
+  /// residency and then pins the task's memory home.  Throws
+  /// std::logic_error("... unknown task") for a slot with no live task.
+  void note_ran(int slot, CpuId cpu, SimDuration ran);
 
-  /// Speed multiplier for `tid` executing on `cpu` (1.0 when local or not
-  /// yet homed).
-  double speed_factor(int tid, CpuId cpu) const;
+  /// Speed multiplier for the task in `slot` executing on `cpu` (1.0 when
+  /// local or not yet homed).  Throws like note_ran.
+  double speed_factor(int slot, CpuId cpu) const;
 
-  /// Home chip, or -1 while unhomed.
-  int home_chip(int tid) const;
+  /// Home chip, or -1 while unhomed or when `slot` holds no live task.
+  int home_chip(int slot) const;
+
+  /// Slots with storage (see CacheModel::slots).
+  std::size_t slots() const { return tasks_.size(); }
 
   const NumaParams& params() const { return params_; }
 
@@ -51,11 +58,15 @@ class NumaModel {
     int home = -1;
     SimDuration accrued = 0;
     std::vector<SimDuration> per_chip;
+    bool live = false;
   };
+
+  /// Index of `slot` in tasks_; throws unless a live task holds it.
+  std::size_t index_of(int slot) const;
 
   const Topology& topo_;
   NumaParams params_;
-  std::unordered_map<int, TaskState> tasks_;
+  std::vector<TaskState> tasks_;  // indexed by slot
 };
 
 }  // namespace hpcs::hw

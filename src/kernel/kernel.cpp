@@ -173,9 +173,15 @@ Tid Kernel::spawn(SpawnSpec spec) {
   t.acct.created_at = engine_.now();
   t.cfs_node.owner = &t;
   tasks_.emplace(tid, std::move(owned));
-  machine_.cache().on_task_created(tid);
-  machine_.tlb().on_task_created(tid);
-  machine_.numa().on_task_created(tid);
+  if (free_hw_slots_.empty()) {
+    t.hw_slot = hw_slots_++;
+  } else {
+    t.hw_slot = free_hw_slots_.back();
+    free_hw_slots_.pop_back();
+  }
+  machine_.cache().on_task_created(t.hw_slot);
+  machine_.tlb().on_task_created(t.hw_slot);
+  machine_.numa().on_task_created(t.hw_slot);
   ++counters_.forks;
 
   // A child starts from its parent's CPU; the class's fork placement then
@@ -480,9 +486,9 @@ void Kernel::account_current(hw::CpuId cpu) {
     // thread; the remainder is capacity the co-runners are also drawing.
     smt_extra_ns_ += elapsed - elapsed / busy;
   }
-  machine_.cache().note_ran(cur->tid, cpu, elapsed);
-  machine_.tlb().note_ran(cur->tid, cpu, elapsed);
-  machine_.numa().note_ran(cur->tid, cpu, elapsed);
+  machine_.cache().note_ran(cur->hw_slot, cpu, elapsed);
+  machine_.tlb().note_ran(cur->hw_slot, cpu, elapsed);
+  machine_.numa().note_ran(cur->hw_slot, cpu, elapsed);
   SchedClass* cls = class_of(*cur);
   if (cls == cfs_) cfs_->update_curr(cpu, *cur, elapsed);
   if (cls == rt_) rt_->charge_rt(cpu, elapsed);
@@ -505,25 +511,24 @@ void Kernel::account_current(hw::CpuId cpu) {
 
 void Kernel::refresh_execution(hw::CpuId cpu) {
   auto& rq = rqs_[static_cast<std::size_t>(cpu)];
-  if (rq.completion != sim::kInvalidEventId) {
-    engine_.cancel(rq.completion);
-    rq.completion = sim::kInvalidEventId;
-  }
   Task* cur = rq.current;
-  if (cur->is_idle_task()) return;
-  const double cache_f = machine_.cache().speed_factor(cur->tid, cpu);
-  const double tlb_f = machine_.tlb().speed_factor(cur->tid, cpu);
-  const double numa_f = machine_.numa().speed_factor(cur->tid, cpu);
+  if (cur->is_idle_task()) {
+    cancel_completion(rq);
+    return;
+  }
+  const double cache_f = machine_.cache().speed_factor(cur->hw_slot, cpu);
+  const double tlb_f = machine_.tlb().speed_factor(cur->hw_slot, cpu);
+  const double numa_f = machine_.numa().speed_factor(cur->hw_slot, cpu);
   const double smt_f = machine_.smt_factor(
       busy_threads_in_core(machine_.topology().core_of(cpu)));
   rq.current_speed = cache_f * tlb_f * numa_f * smt_f;
-  if (!cur->has_action) return;
   const SimTime start = std::max(engine_.now(), rq.work_start);
-  if (cur->action.kind == ActionKind::kCompute) {
+  if (!cur->has_action) {
+    cancel_completion(rq);
+  } else if (cur->action.kind == ActionKind::kCompute) {
     if (cur->remaining_work == 0) {
       // Rounding in a mid-segment account already finished the work.
-      rq.completion =
-          engine_.schedule_after(0, [this, cpu] { handle_completion(cpu); });
+      arm_completion(cpu, engine_.now());
       return;
     }
     auto dt = static_cast<SimDuration>(
@@ -531,17 +536,31 @@ void Kernel::refresh_execution(hw::CpuId cpu) {
     // Resample speed periodically so cache re-warming shows up even without
     // ticks (NOHZ/NETTICK).
     dt = std::min<SimDuration>(dt, kSpeedResample);
-    rq.completion = engine_.schedule_at(
-        start + dt, [this, cpu] { handle_completion(cpu); });
+    arm_completion(cpu, start + dt);
   } else if (cur->action.kind == ActionKind::kWaitCond) {
-    if (cur->spin_left == 0) {
-      rq.completion =
-          engine_.schedule_after(0, [this, cpu] { handle_completion(cpu); });
-      return;
-    }
-    rq.completion = engine_.schedule_at(
-        start + cur->spin_left, [this, cpu] { handle_completion(cpu); });
+    const SimTime spin_end = start + cur->spin_left;
+    arm_completion(cpu, cur->spin_left == 0 ? engine_.now() : spin_end);
+  } else {
+    cancel_completion(rq);
   }
+}
+
+void Kernel::arm_completion(hw::CpuId cpu, SimTime when) {
+  auto& rq = rqs_[static_cast<std::size_t>(cpu)];
+  // reschedule() takes a fresh sequence number, so the event orders exactly
+  // as a cancel followed by a new schedule here would.
+  if (rq.completion != sim::kInvalidEventId &&
+      engine_.reschedule(rq.completion, when)) {
+    return;
+  }
+  rq.completion =
+      engine_.schedule_at(when, [this, cpu] { handle_completion(cpu); });
+}
+
+void Kernel::cancel_completion(CpuRq& rq) {
+  if (rq.completion == sim::kInvalidEventId) return;
+  engine_.cancel(rq.completion);
+  rq.completion = sim::kInvalidEventId;
 }
 
 void Kernel::handle_completion(hw::CpuId cpu) {
@@ -575,10 +594,7 @@ void Kernel::handle_completion(hw::CpuId cpu) {
 void Kernel::advance_action(hw::CpuId cpu, Task& t) {
   auto& rq = rqs_[static_cast<std::size_t>(cpu)];
   assert(rq.current == &t);
-  if (rq.completion != sim::kInvalidEventId) {
-    engine_.cancel(rq.completion);
-    rq.completion = sim::kInvalidEventId;
-  }
+  cancel_completion(rq);
   for (std::uint32_t guard = 0;; ++guard) {
     if (guard > 1'000'000) {
       throw std::logic_error("advance_action: behaviour livelock for task " +
@@ -782,8 +798,8 @@ void Kernel::__schedule(hw::CpuId cpu) {
     ncls->set_curr(cpu, *next);
     const bool migrated_in =
         next->last_ran_cpu != cpu && next->last_ran_cpu != hw::kInvalidCpu;
-    machine_.cache().note_placed(next->tid, cpu);
-    machine_.tlb().note_placed(next->tid, cpu);
+    machine_.cache().note_placed(next->hw_slot, cpu);
+    machine_.tlb().note_placed(next->hw_slot, cpu);
     next->last_ran_cpu = cpu;
     const SimDuration overhead =
         config_.machine.context_switch_cost +
@@ -819,8 +835,12 @@ void Kernel::refresh_core_siblings(int core, hw::CpuId except) {
 
 void Kernel::tick(hw::CpuId cpu) {
   auto& rq = rqs_[static_cast<std::size_t>(cpu)];
+  const sim::EventId self = rq.tick_event;
   rq.tick_event = sim::kInvalidEventId;
   if (!rq.online) return;  // tick raced with cpu_offline()
+  // The engine keeps this event queued until we return; update_tick_state
+  // re-arms it, wherever in this handler it first wants a tick again.
+  rq.tick_rearm = self;
   ++counters_.ticks;
   account_current(cpu);
   Task* cur = rq.current;
@@ -843,6 +863,7 @@ void Kernel::tick(hw::CpuId cpu) {
   ++counters_.balance_passes;
   refresh_execution(cpu);
   update_tick_state(cpu);
+  rq.tick_rearm = sim::kInvalidEventId;
 }
 
 void Kernel::update_ilb() {
@@ -887,8 +908,14 @@ void Kernel::update_tick_state(hw::CpuId cpu) {
     want_tick = false;
   }
   if (want_tick && rq.tick_event == sim::kInvalidEventId) {
-    rq.tick_event = engine_.schedule_after(config_.machine.tick_period,
-                                           [this, cpu] { tick(cpu); });
+    const SimTime at = engine_.now() + config_.machine.tick_period;
+    if (rq.tick_rearm != sim::kInvalidEventId &&
+        engine_.reschedule(rq.tick_rearm, at)) {
+      rq.tick_event = rq.tick_rearm;
+    } else {
+      rq.tick_event = engine_.schedule_at(at, [this, cpu] { tick(cpu); });
+    }
+    rq.tick_rearm = sim::kInvalidEventId;
   } else if (!want_tick && rq.tick_event != sim::kInvalidEventId) {
     engine_.cancel(rq.tick_event);
     rq.tick_event = sim::kInvalidEventId;
@@ -914,9 +941,11 @@ CpuMask Kernel::online_cpu_mask() const {
 }
 
 void Kernel::finish_task_exit(Task& t) {
-  machine_.cache().on_task_exit(t.tid);
-  machine_.tlb().on_task_exit(t.tid);
-  machine_.numa().on_task_exit(t.tid);
+  machine_.cache().on_task_exit(t.hw_slot);
+  machine_.tlb().on_task_exit(t.hw_slot);
+  machine_.numa().on_task_exit(t.hw_slot);
+  free_hw_slots_.push_back(t.hw_slot);
+  t.hw_slot = -1;
   for (auto& fn : exit_listeners_) fn(t);
 }
 
@@ -938,10 +967,7 @@ bool Kernel::kill_task(Tid tid) {
     // __schedule reap it so the context switch is accounted exactly once.
     if (t->state == TaskState::kRunning) {
       account_current(cpu);
-      if (rq.completion != sim::kInvalidEventId) {
-        engine_.cancel(rq.completion);
-        rq.completion = sim::kInvalidEventId;
-      }
+      cancel_completion(rq);
     }
     do_exit(cpu, *t);
     resched_cpu(cpu);
@@ -980,10 +1006,7 @@ void Kernel::park_migration_thread(hw::CpuId cpu) {
 
 void Kernel::force_off_current(hw::CpuId cpu, std::vector<Task*>& displaced) {
   auto& rq = rqs_[static_cast<std::size_t>(cpu)];
-  if (rq.completion != sim::kInvalidEventId) {
-    engine_.cancel(rq.completion);
-    rq.completion = sim::kInvalidEventId;
-  }
+  cancel_completion(rq);
   Task* prev = rq.current;
   if (prev->is_idle_task()) return;
 

@@ -248,7 +248,10 @@ class Kernel {
     double current_speed = 1.0;
     sim::EventId completion = sim::kInvalidEventId;
     sim::EventId tick_event = sim::kInvalidEventId;
-    bool tick_running = false;
+    /// While tick() runs: its own event, which the engine keeps queued until
+    /// tick() returns.  update_tick_state re-arms it in place instead of
+    /// scheduling a fresh tick.
+    sim::EventId tick_rearm = sim::kInvalidEventId;
     std::uint64_t nr_switches = 0;
     SimDuration idle_ns = 0;
     SimTime idle_since = 0;
@@ -268,6 +271,10 @@ class Kernel {
 
   void __schedule(hw::CpuId cpu);
   void refresh_execution(hw::CpuId cpu);
+  /// Point the CPU's completion event at `when`, re-arming the pending one
+  /// in place when there is one.
+  void arm_completion(hw::CpuId cpu, SimTime when);
+  void cancel_completion(CpuRq& rq);
   void advance_action(hw::CpuId cpu, Task& t);
   void handle_completion(hw::CpuId cpu);
   void tick(hw::CpuId cpu);
@@ -310,6 +317,11 @@ class Kernel {
   std::vector<CpuRq> rqs_;
   std::unordered_map<Tid, std::unique_ptr<Task>> tasks_;
   Tid next_tid_ = 1;
+  /// Dense hardware-model slots (Task::hw_slot): handed out at spawn and
+  /// returned at exit, so the models' per-task storage stays at the peak
+  /// live-task count however many tasks a run creates.
+  std::vector<int> free_hw_slots_;
+  int hw_slots_ = 0;
   /// NOHZ idle load balancer: the one idle CPU that keeps ticking and
   /// balances on behalf of all sleeping idle CPUs (Linux 2.6.3x "ilb").
   hw::CpuId ilb_cpu_ = hw::kInvalidCpu;

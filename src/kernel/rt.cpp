@@ -1,11 +1,56 @@
 #include "kernel/rt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "kernel/kernel.h"
 
 namespace hpcs::kernel {
+
+static_assert(kMaxRtPrio < 128, "the priority bitmap holds two words");
+
+int RtClass::CpuQ::top_below(int limit) const {
+  for (int w = (limit - 1) / 64; w >= 0; --w) {
+    std::uint64_t bits = bitmap[static_cast<std::size_t>(w)];
+    const int end = limit - 64 * w;  // exclusive, relative to this word
+    if (end < 64) bits &= (std::uint64_t{1} << end) - 1;
+    // Lists below kMinRtPrio hold no valid RT priority: never report them.
+    if (w == 0) bits &= ~((std::uint64_t{1} << kMinRtPrio) - 1);
+    if (bits != 0) return 64 * w + std::bit_width(bits) - 1;
+  }
+  return 0;
+}
+
+void RtClass::CpuQ::push(Task& t, bool at_front) {
+  const auto prio = static_cast<std::size_t>(t.rt_prio);
+  auto& list = lists[prio];
+  if (at_front) {
+    list.push_front(&t);
+  } else {
+    list.push_back(&t);
+  }
+  bitmap[prio / 64] |= std::uint64_t{1} << (prio % 64);
+  t.rt_queued = true;
+}
+
+Task* RtClass::CpuQ::pop_front(int prio) {
+  const auto p = static_cast<std::size_t>(prio);
+  auto& list = lists[p];
+  Task* t = list.front();
+  list.pop_front();
+  if (list.empty()) bitmap[p / 64] &= ~(std::uint64_t{1} << (p % 64));
+  t->rt_queued = false;
+  return t;
+}
+
+void RtClass::CpuQ::erase(Task& t) {
+  const auto prio = static_cast<std::size_t>(t.rt_prio);
+  auto& list = lists[prio];
+  list.erase(std::find(list.begin(), list.end(), &t));
+  if (list.empty()) bitmap[prio / 64] &= ~(std::uint64_t{1} << (prio % 64));
+  t.rt_queued = false;
+}
 
 RtClass::RtClass(Kernel& kernel) : SchedClass(kernel) {
   const int ncpu = kernel.topology().num_cpus();
@@ -19,8 +64,7 @@ void RtClass::enqueue(hw::CpuId cpu, Task& t, bool wakeup) {
   (void)wakeup;
   CpuQ& cq = q(cpu);
   assert(!t.rt_queued);
-  cq.lists[static_cast<std::size_t>(t.rt_prio)].push_back(&t);
-  t.rt_queued = true;
+  cq.push(t, /*at_front=*/false);
   cq.nr += 1;
   total_runnable_ += 1;
   if (t.rr_left == 0) t.rr_left = kernel_.config().rt.rr_timeslice;
@@ -29,11 +73,7 @@ void RtClass::enqueue(hw::CpuId cpu, Task& t, bool wakeup) {
 void RtClass::dequeue(hw::CpuId cpu, Task& t, bool sleeping) {
   (void)sleeping;
   CpuQ& cq = q(cpu);
-  if (t.rt_queued) {
-    auto& list = cq.lists[static_cast<std::size_t>(t.rt_prio)];
-    list.erase(std::find(list.begin(), list.end(), &t));
-    t.rt_queued = false;
-  }
+  if (t.rt_queued) cq.erase(t);
   cq.nr -= 1;
   total_runnable_ -= 1;
 }
@@ -41,31 +81,16 @@ void RtClass::dequeue(hw::CpuId cpu, Task& t, bool sleeping) {
 Task* RtClass::pick_next(hw::CpuId cpu) {
   CpuQ& cq = q(cpu);
   if (cq.throttled_flag) return nullptr;  // bandwidth exhausted this period
-  for (int prio = kMaxRtPrio; prio >= kMinRtPrio; --prio) {
-    auto& list = cq.lists[static_cast<std::size_t>(prio)];
-    if (!list.empty()) {
-      Task* t = list.front();
-      list.pop_front();
-      t->rt_queued = false;
-      return t;
-    }
-  }
-  return nullptr;
+  const int prio = cq.top();
+  return prio == 0 ? nullptr : cq.pop_front(prio);
 }
 
 void RtClass::put_prev(hw::CpuId cpu, Task& t) {
-  CpuQ& cq = q(cpu);
   assert(!t.rt_queued);
-  auto& list = cq.lists[static_cast<std::size_t>(t.rt_prio)];
   // A preempted task resumes from the head of its list; a task whose RR
   // quantum expired (or that yielded) goes to the tail.
-  if (t.requeue_at_tail) {
-    list.push_back(&t);
-    t.requeue_at_tail = false;
-  } else {
-    list.push_front(&t);
-  }
-  t.rt_queued = true;
+  q(cpu).push(t, /*at_front=*/!t.requeue_at_tail);
+  t.requeue_at_tail = false;
 }
 
 void RtClass::set_curr(hw::CpuId cpu, Task& t) { q(cpu).curr = &t; }
@@ -141,7 +166,9 @@ void RtClass::push_tasks(hw::CpuId cpu) {
   if (cq.throttled_flag) return;
   int pushes = 0;
   // Push queued (overloaded) tasks to CPUs running lower-priority work.
-  for (int prio = kMaxRtPrio; prio >= kMinRtPrio; --prio) {
+  // Pushing only removes tasks from this CPU's lists, so re-reading the
+  // bitmap below the current priority visits every non-empty list, top down.
+  for (int prio = cq.top(); prio != 0; prio = cq.top_below(prio)) {
     auto& list = cq.lists[static_cast<std::size_t>(prio)];
     if (pushes > 64) break;  // defensive bound per pass
     for (std::size_t i = 0; i < list.size();) {
@@ -183,7 +210,7 @@ bool RtClass::newidle_balance(hw::CpuId cpu) {
     if (c == cpu) continue;
     const CpuQ& cq = q(c);
     if (cq.nr < 2) continue;  // not overloaded
-    for (int prio = kMaxRtPrio; prio >= kMinRtPrio; --prio) {
+    for (int prio = cq.top(); prio != 0; prio = cq.top_below(prio)) {
       const auto& list = cq.lists[static_cast<std::size_t>(prio)];
       for (Task* t : list) {
         if (!mask_has(t->affinity, cpu)) continue;
@@ -235,28 +262,18 @@ int RtClass::nr_runnable(hw::CpuId cpu) const { return q(cpu).nr; }
 int RtClass::total_runnable() const { return total_runnable_; }
 
 int RtClass::highest_queued_prio(hw::CpuId cpu) const {
-  const CpuQ& cq = q(cpu);
-  for (int prio = kMaxRtPrio; prio >= kMinRtPrio; --prio) {
-    if (!cq.lists[static_cast<std::size_t>(prio)].empty()) return prio;
-  }
-  return 0;
+  return q(cpu).top();
 }
 
 Task* RtClass::running_task(hw::CpuId cpu) const { return q(cpu).curr; }
 
 Task* RtClass::dequeue_any(hw::CpuId cpu) {
   CpuQ& cq = q(cpu);
-  for (int prio = kMaxRtPrio; prio >= kMinRtPrio; --prio) {
-    auto& list = cq.lists[static_cast<std::size_t>(prio)];
-    if (list.empty()) continue;
-    Task* t = list.front();
-    list.pop_front();
-    t->rt_queued = false;
-    cq.nr -= 1;
-    total_runnable_ -= 1;
-    return t;
-  }
-  return nullptr;
+  const int prio = cq.top();
+  if (prio == 0) return nullptr;
+  cq.nr -= 1;
+  total_runnable_ -= 1;
+  return cq.pop_front(prio);
 }
 
 void RtClass::audit_cpu(hw::CpuId cpu, const Task* rq_current,
@@ -265,6 +282,14 @@ void RtClass::audit_cpu(hw::CpuId cpu, const Task* rq_current,
   auto fail = [&](const std::string& msg) {
     errors.push_back("rt cpu" + std::to_string(cpu) + ": " + msg);
   };
+  for (std::size_t p = 0; p < 128; ++p) {
+    const bool bit = ((cq.bitmap[p / 64] >> (p % 64)) & 1) != 0;
+    const std::size_t size = p < cq.lists.size() ? cq.lists[p].size() : 0;
+    if (bit != (size != 0)) {
+      fail("bitmap bit " + std::to_string(p) + (bit ? " set" : " clear") +
+           " but list holds " + std::to_string(size) + " tasks");
+    }
+  }
   int count = 0;
   for (int prio = kMinRtPrio; prio <= kMaxRtPrio; ++prio) {
     for (const Task* t : cq.lists[static_cast<std::size_t>(prio)]) {

@@ -1,7 +1,10 @@
 // The real-time scheduling class: SCHED_FIFO and SCHED_RR.
 //
 // 99 priority levels with per-level FIFO lists, RR timeslice rotation, and
-// the push/pull overload balancing of the Linux RT scheduler.  Section IV of
+// the push/pull overload balancing of the Linux RT scheduler.  As in Linux
+// 2.6.34's rt_prio_array, a bitmap of the non-empty lists makes finding the
+// top queued priority O(1), so the every-tick push pass and every pick cost
+// nothing when no RT task is queued.  Section IV of
 // the paper shows why running HPC ranks here is not enough: RT balancing is
 // *more* eager than CFS balancing (any idle CPU immediately pulls queued RT
 // tasks), and the migration/N kthreads themselves live at RT prio 99 and
@@ -9,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -60,14 +64,23 @@ class RtClass : public SchedClass {
 
  private:
   struct CpuQ {
-    // lists[prio] is the FIFO of queued tasks at that priority.
+    // lists[prio] is the FIFO of queued tasks at that priority; bit prio of
+    // `bitmap` is set exactly when lists[prio] is non-empty.
     std::array<std::deque<Task*>, kMaxRtPrio + 1> lists;
+    std::array<std::uint64_t, 2> bitmap{};
     int nr = 0;  // queued + running
     Task* curr = nullptr;
     // Bandwidth state.
     SimDuration rt_time = 0;  // RT execution in the current period
     bool throttled_flag = false;
     bool period_event_armed = false;
+
+    /// Highest priority in [kMinRtPrio, limit) with a queued task, or 0.
+    int top_below(int limit) const;
+    int top() const { return top_below(kMaxRtPrio + 1); }
+    void push(Task& t, bool at_front);
+    Task* pop_front(int prio);
+    void erase(Task& t);
   };
 
   void on_period_rollover(hw::CpuId cpu);

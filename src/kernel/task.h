@@ -115,6 +115,10 @@ struct Task {
   hw::CpuId cpu = hw::kInvalidCpu;       // CPU currently assigned to
   hw::CpuId last_ran_cpu = hw::kInvalidCpu;
   bool killed = false;  // terminated by Kernel::kill_task, not a clean exit
+  /// Index of this task's state in the machine's cache, TLB and NUMA models:
+  /// dense and recycled after exit, unlike tids.  -1 for idle tasks and
+  /// once the task has been reaped.
+  int hw_slot = -1;
 
   // --- current action -------------------------------------------------------
   Action action;

@@ -85,6 +85,7 @@ std::string render_schedstat(kernel::Kernel& kernel) {
   const sim::EngineStats& es = engine.stats();
   out << "engine_events " << es.dispatched << "\n";
   out << "engine_cancels " << es.cancelled << "\n";
+  out << "engine_reschedules " << es.rescheduled << "\n";
   out << "engine_pending " << engine.pending() << "\n";
   out << "engine_heap_hwm " << es.heap_high_water << "\n";
   out << "engine_dispatch_rate "

@@ -98,15 +98,41 @@ EventId Engine::schedule_after(SimDuration delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-bool Engine::cancel(EventId id) {
+Engine::Slot* Engine::pending_slot(EventId id) {
   const auto idx = static_cast<std::uint32_t>(id >> 32);
   const auto gen = static_cast<std::uint32_t>(id);
-  if (idx >= slots_.size()) return false;
+  if (idx >= slots_.size()) return nullptr;
   Slot& s = slots_[idx];
-  if (s.gen != gen || s.heap_pos == kNpos) return false;  // fired or stale
-  heap_remove(s.heap_pos);
-  release_slot(idx);
+  if (s.gen != gen || s.heap_pos == kNpos) return nullptr;  // fired or stale
+  return &s;
+}
+
+bool Engine::cancel(EventId id) {
+  Slot* s = pending_slot(id);
+  if (s == nullptr) return false;
+  heap_remove(s->heap_pos);
+  release_slot(static_cast<std::uint32_t>(id >> 32));
   ++stats_.cancelled;
+  return true;
+}
+
+bool Engine::reschedule(EventId id, SimTime when) {
+  if (when < now_) {
+    throw std::logic_error("Engine::reschedule: event in the past");
+  }
+  Slot* s = pending_slot(id);
+  if (s == nullptr) return false;
+  const SimTime old = s->when;
+  s->when = when;
+  s->seq = next_seq_++;
+  // The fresh seq exceeds every queued one, so the key only grows unless
+  // the event moved earlier in time.
+  if (when < old) {
+    sift_up(s->heap_pos);
+  } else {
+    sift_down(s->heap_pos);
+  }
+  ++stats_.rescheduled;
   return true;
 }
 
@@ -122,12 +148,31 @@ void Engine::advance_clock(SimTime when) {
   }
 }
 
-Engine::Callback Engine::take_top() {
+void Engine::dispatch_top() {
   const std::uint32_t idx = heap_[0];
+  const std::uint32_t gen = slots_[idx].gen;
+  const std::uint64_t seq = slots_[idx].seq;
+  // Call from a local: a nested schedule_at may grow slots_ and move every
+  // record, callback storage included.
   Callback fn = std::move(slots_[idx].fn);
-  heap_remove(0);
-  release_slot(idx);
-  return fn;
+  auto finish = [&] {
+    Slot& s = slots_[idx];
+    if (s.gen != gen) return;  // cancelled: the slot is no longer ours
+    if (s.seq != seq) {        // re-armed: still pending, keep the callback
+      s.fn = std::move(fn);
+      return;
+    }
+    heap_remove(s.heap_pos);
+    release_slot(idx);
+  };
+  try {
+    fn();
+  } catch (...) {
+    finish();
+    throw;
+  }
+  finish();
+  ++stats_.dispatched;
 }
 
 std::uint64_t Engine::run() {
@@ -139,10 +184,8 @@ std::uint64_t Engine::run() {
   std::uint64_t n = 0;
   while (!stopped_ && !heap_.empty()) {
     advance_clock(slots_[heap_[0]].when);
-    Callback fn = take_top();
-    fn();
+    dispatch_top();
     ++n;
-    ++stats_.dispatched;
     if (post_dispatch_) post_dispatch_();
   }
   return n;
@@ -161,10 +204,8 @@ std::uint64_t Engine::run_until(SimTime limit) {
     const SimTime when = slots_[heap_[0]].when;
     if (when > limit) break;
     advance_clock(when);
-    Callback fn = take_top();
-    fn();
+    dispatch_top();
     ++n;
-    ++stats_.dispatched;
     if (post_dispatch_) post_dispatch_();
   }
   // Catch the clock up to the limit only when the run completed: after a

@@ -7,12 +7,13 @@
 // bit-for-bit reproducible.
 //
 // The queue is an indexed binary heap over a pooled slot array: schedule,
-// dispatch, and cancel are all O(log n) with no per-event map nodes, and
-// cancel removes the entry in place — cancellation-heavy workloads (timer
-// re-arming, preemption churn) cannot grow the heap with tombstones.  Slot
-// records (including their callback storage) are recycled through a free
-// list, so steady-state scheduling performs no allocation beyond what the
-// callbacks themselves capture.
+// dispatch, cancel and reschedule are all O(log n) with no per-event map
+// nodes, and cancel removes the entry in place — cancellation-heavy workloads
+// (timer re-arming, preemption churn) cannot grow the heap with tombstones.
+// Slot records (including their callback storage) are recycled through a
+// free list, so steady-state scheduling performs no allocation beyond what
+// the callbacks themselves capture.  A periodic timer re-arms its own slot
+// with reschedule() and allocates nothing at all.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +44,10 @@ inline constexpr std::uint64_t kDefaultSameInstantLimit = 5'000'000;
 /// Always-on, O(1)-maintained engine counters.  Cheap enough for production
 /// sweeps; surfaced through perf::render_schedstat.
 struct EngineStats {
-  std::uint64_t scheduled = 0;   // schedule_at/after calls accepted
-  std::uint64_t dispatched = 0;  // callbacks actually run
-  std::uint64_t cancelled = 0;   // successful cancel() calls
+  std::uint64_t scheduled = 0;    // schedule_at/after calls accepted
+  std::uint64_t dispatched = 0;   // callbacks actually run
+  std::uint64_t cancelled = 0;    // successful cancel() calls
+  std::uint64_t rescheduled = 0;  // successful reschedule() calls
   /// Most events ever simultaneously pending: bounds the heap's memory and
   /// proves cancellations do not accumulate (no tombstone growth).
   std::size_t heap_high_water = 0;
@@ -65,21 +67,37 @@ class Engine {
   /// fired or was cancelled before (both are normal in scheduler churn).
   bool cancel(EventId id);
 
+  /// Move a pending event to absolute time `when` (>= now()) in place, under
+  /// a fresh sequence number: it then orders exactly as cancel(id) followed
+  /// by schedule_at(when, <same callback>) would, but keeps its slot,
+  /// callback and id.  A callback may re-arm its own event this way (see
+  /// run()).  Returns false for a fired, cancelled or stale id; throws
+  /// std::logic_error when `when` is in the past.
+  bool reschedule(EventId id, SimTime when);
+
   /// Current simulated time.
   SimTime now() const { return now_; }
 
   /// Number of events still pending (cancelled events are removed eagerly).
+  /// Inside a callback this counts the dispatching event (see run()).
   std::size_t pending() const { return heap_.size(); }
 
   /// Timestamp of the earliest pending event, or kNoEvent when the queue is
   /// empty.  The sharded driver uses this to derive each conservative
-  /// execution window.
+  /// execution window.  Inside a callback that has not moved its own event
+  /// this reads now().
   SimTime next_event_time() const {
     return heap_.empty() ? kNoEvent : slots_[heap_[0]].when;
   }
 
   /// Run until the event queue drains or `stop()` is called.
   /// Returns the number of events dispatched.
+  ///
+  /// Dispatch happens in place: an event stays queued, at now(), until its
+  /// callback returns, and is dropped then unless the callback moved it with
+  /// reschedule() (which keeps it) or cancelled it (which already freed the
+  /// slot — the old callback is then never put back, even when a new event
+  /// has taken over the slot meanwhile).
   std::uint64_t run();
 
   /// Run events with time <= `limit`; afterwards now() == limit unless a
@@ -139,6 +157,9 @@ class Engine {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
+  /// The slot `id` names while its event is pending, else nullptr.
+  Slot* pending_slot(EventId id);
+
   bool entry_less(std::uint32_t a, std::uint32_t b) const;
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
@@ -151,9 +172,9 @@ class Engine {
   /// (shared by run() and run_until()).
   void advance_clock(SimTime when);
 
-  /// Pop the top entry and return its callback (slot is recycled first so
-  /// the callback may freely schedule new events).
-  Callback take_top();
+  /// Run the top entry's callback in place, then drop the entry unless the
+  /// callback re-armed or cancelled it (shared by run() and run_until()).
+  void dispatch_top();
 
   SimTime now_ = 0;
   Callback post_dispatch_;

@@ -207,6 +207,18 @@ TEST_F(CacheModelTest, ExitRemovesTask) {
   EXPECT_THROW(cache.note_placed(1, 0), std::logic_error);
 }
 
+TEST_F(CacheModelTest, ReusedSlotStartsFromInitialWarmth) {
+  CacheModel cache(topo_, params_);
+  cache.on_task_created(0);
+  cache.note_placed(0, 0);
+  cache.note_ran(0, 0, 20 * params_.warm_tau);
+  cache.on_task_exit(0);
+  cache.on_task_created(0);  // a new task takes the freed slot
+  EXPECT_DOUBLE_EQ(cache.warmth(0, 0), params_.initial_warmth);
+  EXPECT_DOUBLE_EQ(cache.warmth(0, 5), params_.initial_warmth);
+  EXPECT_EQ(cache.slots(), 1u);
+}
+
 // --- numa model --------------------------------------------------------------
 
 class NumaModelTest : public ::testing::Test {
@@ -258,6 +270,23 @@ TEST_F(NumaModelTest, ExitRemovesTask) {
   numa.on_task_exit(1);
   EXPECT_THROW(numa.note_ran(1, 0, 1), std::logic_error);
   EXPECT_EQ(numa.home_chip(1), -1);  // queries degrade gracefully
+}
+
+TEST_F(NumaModelTest, ReusedSlotHasNoHome) {
+  NumaModel numa(topo_, params_);
+  numa.on_task_created(2);
+  numa.note_ran(2, 0, params_.first_touch_window / 2);
+  numa.note_ran(2, 7, params_.first_touch_window);
+  EXPECT_EQ(numa.home_chip(2), 1);
+  numa.on_task_exit(2);
+  numa.on_task_created(2);
+  EXPECT_EQ(numa.home_chip(2), -1);
+  EXPECT_DOUBLE_EQ(numa.speed_factor(2, 0), 1.0);
+  // Residency starts from zero too: half a window on chip 0 is not enough.
+  numa.note_ran(2, 0, params_.first_touch_window / 2);
+  EXPECT_EQ(numa.home_chip(2), -1);
+  EXPECT_EQ(numa.slots(), 3u);
+  EXPECT_THROW(numa.speed_factor(0, 0), std::logic_error);  // never created
 }
 
 // --- machine -----------------------------------------------------------------

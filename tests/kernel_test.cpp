@@ -2,11 +2,17 @@
 // accounting, syscalls, and the context-switch machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <memory>
+#include <stdexcept>
 
 #include "kernel/behaviors.h"
 #include "kernel/kernel.h"
+#include "kernel/rt.h"
 #include "sim/engine.h"
+#include "util/rng.h"
 
 namespace hpcs::kernel {
 namespace {
@@ -356,6 +362,166 @@ TEST_F(KernelTest, WorkConservation) {
   // Busy time = task runtime + switch/tick overheads (small).
   EXPECT_GE(busy, t.acct.runtime);
   EXPECT_LT(busy - t.acct.runtime, milliseconds(1));
+}
+
+// --- RT priority bitmap ------------------------------------------------------
+
+TEST(RtBitmapTest, AgreesWithALinearScanOracle) {
+  // Drive one CPU's RT runqueue directly (an unbooted kernel has no
+  // migration threads queued) through a seeded random sequence of the
+  // operations the kernel performs, and after every step compare it with a
+  // plain array of lists scanned top-down.  audit_cpu checks the bitmap
+  // against the lists at each step too.
+  sim::Engine engine;
+  Kernel kernel(engine, KernelConfig{});
+  RtClass& rt = kernel.rt();
+  constexpr hw::CpuId kCpu = 3;
+  constexpr int kTasks = 48;
+  // Priorities straddle the bitmap's word boundary and both ends.
+  constexpr std::array<int, 8> kPrios = {1, 2, 50, 63, 64, 65, 98, 99};
+  std::vector<std::unique_ptr<Task>> tasks;
+  util::Rng rng(0x5eed);
+  for (int i = 0; i < kTasks; ++i) {
+    auto t = std::make_unique<Task>();
+    t->tid = i + 1;
+    t->name = "rt" + std::to_string(i);
+    t->policy = Policy::kFifo;
+    t->rt_prio = kPrios[rng.uniform_u64(0, kPrios.size() - 1)];
+    t->cpu = kCpu;
+    t->state = TaskState::kRunnable;
+    tasks.push_back(std::move(t));
+  }
+  std::array<std::deque<Task*>, kMaxRtPrio + 1> oracle;
+  Task* curr = nullptr;
+  auto oracle_top = [&] {
+    for (int prio = kMaxRtPrio; prio >= kMinRtPrio; --prio) {
+      if (!oracle[static_cast<std::size_t>(prio)].empty()) return prio;
+    }
+    return 0;
+  };
+  auto oracle_pop = [&]() -> Task* {
+    const int prio = oracle_top();
+    if (prio == 0) return nullptr;
+    auto& list = oracle[static_cast<std::size_t>(prio)];
+    Task* t = list.front();
+    list.pop_front();
+    return t;
+  };
+  int queued = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    Task& t = *tasks[rng.uniform_u64(0, kTasks - 1)];
+    auto& list = oracle[static_cast<std::size_t>(t.rt_prio)];
+    switch (rng.uniform_u64(0, 4)) {
+      case 0:  // wake a task that is neither queued nor running
+        if (t.rt_queued || &t == curr) break;
+        rt.enqueue(kCpu, t, /*wakeup=*/true);
+        list.push_back(&t);
+        ++queued;
+        break;
+      case 1:  // dequeue a queued task (migration, sleep on the queue)
+        if (!t.rt_queued) break;
+        rt.dequeue(kCpu, t, /*sleeping=*/false);
+        list.erase(std::find(list.begin(), list.end(), &t));
+        --queued;
+        break;
+      case 2: {  // schedule: put back the current task, pick the next
+        if (curr != nullptr) {
+          curr->requeue_at_tail = rng.chance(0.5);
+          auto& cl = oracle[static_cast<std::size_t>(curr->rt_prio)];
+          if (curr->requeue_at_tail) {
+            cl.push_back(curr);
+          } else {
+            cl.push_front(curr);
+          }
+          rt.put_prev(kCpu, *curr);
+          rt.clear_curr(kCpu, *curr);
+          curr = nullptr;
+          ++queued;
+        }
+        Task* picked = rt.pick_next(kCpu);
+        ASSERT_EQ(picked, oracle_pop()) << "step " << step;
+        if (picked != nullptr) {
+          rt.set_curr(kCpu, *picked);
+          curr = picked;
+          --queued;
+        }
+        break;
+      }
+      case 3:  // the current task blocks
+        if (curr == nullptr) break;
+        rt.dequeue(kCpu, *curr, /*sleeping=*/true);
+        rt.clear_curr(kCpu, *curr);
+        curr = nullptr;
+        break;
+      default: {  // hotplug drain takes the top queued task
+        Task* drained = rt.dequeue_any(kCpu);
+        ASSERT_EQ(drained, oracle_pop()) << "step " << step;
+        if (drained != nullptr) --queued;
+        break;
+      }
+    }
+    std::vector<std::string> errors;
+    rt.audit_cpu(kCpu, curr, errors);
+    ASSERT_TRUE(errors.empty()) << "step " << step << ": " << errors.front();
+    ASSERT_EQ(rt.highest_queued_prio(kCpu), oracle_top()) << "step " << step;
+    ASSERT_EQ(rt.nr_runnable(kCpu), queued + (curr != nullptr ? 1 : 0));
+  }
+}
+
+// --- dense hardware-model slots ----------------------------------------------
+
+TEST_F(KernelTest, RecycledHwSlotsKeepModelStorageAtPeakLiveTasks) {
+  // 10k short tasks spawned in waves: the cache, TLB and NUMA models must
+  // hold one slot per task alive at the peak, not one per task ever made.
+  std::size_t live = kernel_.task_count();  // boot's migration threads
+  kernel_.add_exit_listener([&live](Task&) { --live; });
+  std::size_t peak = live;
+  constexpr int kWave = 16;
+  for (int wave = 0; wave < 10'000 / kWave; ++wave) {
+    for (int i = 0; i < kWave; ++i) {
+      spawn_script("short", {Action::compute(microseconds(20))});
+      peak = std::max(peak, ++live);
+    }
+    engine_.run_until(engine_.now() + milliseconds(2));
+  }
+  EXPECT_EQ(kernel_.task_count(), 10'000u + 8u);
+  EXPECT_EQ(live, 8u);  // only the migration threads remain
+  const hw::Machine& machine = kernel_.machine();
+  EXPECT_EQ(peak, 8u + kWave);
+  EXPECT_EQ(machine.cache().slots(), peak);
+  EXPECT_EQ(machine.tlb().slots(), peak);
+  EXPECT_EQ(machine.numa().slots(), peak);
+}
+
+TEST_F(KernelTest, RecycledHwSlotStartsCold) {
+  const std::vector<Action> warm = {Action::compute(milliseconds(30))};
+  const Tid first =
+      spawn_script("warm", warm, Policy::kNormal, 0, cpu_mask_of(2));
+  const int slot = kernel_.task(first).hw_slot;
+  ASSERT_GE(slot, 0);
+  engine_.run_until(milliseconds(20));
+  const hw::Machine& machine = kernel_.machine();
+  // Mid-run the task is warm and has a NUMA home (first touch is 8 ms).
+  EXPECT_GT(machine.cache().warmth(slot, 2), 0.5);
+  EXPECT_EQ(machine.numa().home_chip(slot), 0);
+  engine_.run_until(milliseconds(100));
+  ASSERT_EQ(kernel_.task(first).state, TaskState::kExited);
+  EXPECT_EQ(kernel_.task(first).hw_slot, -1);
+  // A dead slot is unknown to every model until it is handed out again.
+  EXPECT_THROW(machine.cache().warmth(slot, 2), std::logic_error);
+  EXPECT_THROW(machine.tlb().speed_factor(slot, 2), std::logic_error);
+  EXPECT_THROW(machine.numa().speed_factor(slot, 2), std::logic_error);
+  EXPECT_EQ(machine.numa().home_chip(slot), -1);
+  // So is one that was never handed out.
+  EXPECT_THROW(machine.cache().warmth(1000, 0), std::logic_error);
+
+  const Tid second = spawn_script("cold", {Action::compute(milliseconds(1))});
+  ASSERT_EQ(kernel_.task(second).hw_slot, slot);
+  const auto& cfg = machine.config();
+  EXPECT_DOUBLE_EQ(machine.cache().warmth(slot, 2), cfg.cache.initial_warmth);
+  EXPECT_DOUBLE_EQ(machine.tlb().warmth(slot, 2), cfg.tlb.initial_warmth);
+  EXPECT_EQ(machine.numa().home_chip(slot), -1);
+  EXPECT_DOUBLE_EQ(machine.numa().speed_factor(slot, 7), 1.0);
 }
 
 }  // namespace

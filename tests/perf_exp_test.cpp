@@ -177,6 +177,28 @@ TEST(RunnerTest, SeriesRecordsSeedAndHostCostPerRun) {
   }
 }
 
+TEST(RunnerTest, RunResultPinsEventAndTickCounts) {
+  // The simulation cost of one is.A.8 run per scheduler.  These are pure
+  // functions of the seed: a change to how the engine queues events (for
+  // example re-arming in place) must leave the set of events that fire, and
+  // so these counts, exactly as they are.
+  const workloads::NasInstance inst{workloads::NasBenchmark::kIS,
+                                    workloads::NasClass::kA, 8};
+  exp::RunConfig config;
+  config.program = workloads::build_nas_program(inst);
+  config.mpi.nranks = inst.nranks;
+  config.setup = exp::Setup::kStandardLinux;
+  const exp::RunResult cfs = exp::run_once(config, 1);
+  ASSERT_TRUE(cfs.completed);
+  EXPECT_EQ(cfs.events, 3586u);
+  EXPECT_EQ(cfs.ticks, 2891u);
+  config.setup = exp::Setup::kHpl;
+  const exp::RunResult hpl = exp::run_once(config, 1);
+  ASSERT_TRUE(hpl.completed);
+  EXPECT_EQ(hpl.events, 3579u);
+  EXPECT_EQ(hpl.ticks, 2891u);
+}
+
 TEST(RunnerTest, SetupNamesDistinct) {
   std::set<std::string> names;
   for (exp::Setup setup :

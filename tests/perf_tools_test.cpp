@@ -89,6 +89,9 @@ TEST_F(PerfToolsTest, SchedstatRenderMentionsCountersAndCpus) {
   EXPECT_NE(text.find("engine_events"), std::string::npos);
   EXPECT_NE(text.find("engine_cancels"), std::string::npos);
   EXPECT_NE(text.find("engine_heap_hwm"), std::string::npos);
+  // The CPU that ran the task re-armed its tick in place at least once.
+  EXPECT_EQ(text.find("engine_reschedules 0\n"), std::string::npos);
+  EXPECT_NE(text.find("engine_reschedules "), std::string::npos);
   EXPECT_NE(text.find("engine_dispatch_rate"), std::string::npos);
 }
 

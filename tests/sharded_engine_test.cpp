@@ -101,14 +101,18 @@ struct ShardLogs {
 void seed_ring_scenario(ShardedEngine& engine, ShardLogs& logs, int hops) {
   const int shards = engine.num_shards();
   for (int s = 0; s < shards; ++s) {
-    // Local chain: period differs per shard so windows interleave.
+    // Local chain: period differs per shard so windows interleave.  It
+    // refers to itself weakly: the pending event owns it, so the last event
+    // frees it instead of leaking an ownership cycle.
     auto chain = std::make_shared<std::function<void(int)>>();
-    *chain = [&engine, &logs, s, chain](int remaining) {
+    const std::weak_ptr weak_chain = chain;
+    *chain = [&engine, &logs, s, weak_chain](int remaining) {
       logs.note(s, engine.shard(s).now(), "local");
       if (remaining > 0) {
+        auto self = weak_chain.lock();
         engine.shard(s).schedule_after(
             static_cast<SimDuration>(3 + s),
-            [chain, remaining] { (*chain)(remaining - 1); });
+            [self, remaining] { (*self)(remaining - 1); });
       }
     };
     engine.shard(s).schedule_at(static_cast<SimTime>(1 + s),
@@ -117,7 +121,8 @@ void seed_ring_scenario(ShardedEngine& engine, ShardLogs& logs, int hops) {
   // Token passed around the ring; arrival instants are aligned to
   // when % shards == src so no two sources ever share a timestamp.
   auto token = std::make_shared<std::function<void(int, int)>>();
-  *token = [&engine, &logs, token](int at_shard, int remaining) {
+  const std::weak_ptr weak_token = token;
+  *token = [&engine, &logs, weak_token](int at_shard, int remaining) {
     logs.note(at_shard, engine.shard(at_shard).now(), "token");
     if (remaining <= 0) return;
     const int ring = engine.num_shards();
@@ -126,8 +131,9 @@ void seed_ring_scenario(ShardedEngine& engine, ShardLogs& logs, int hops) {
     const SimTime aligned =
         (base / static_cast<SimTime>(ring) + 1) * static_cast<SimTime>(ring) +
         static_cast<SimTime>(at_shard);
-    engine.send(at_shard, next, aligned, [token, next, remaining] {
-      (*token)(next, remaining - 1);
+    auto self = weak_token.lock();
+    engine.send(at_shard, next, aligned, [self, next, remaining] {
+      (*self)(next, remaining - 1);
     });
   };
   engine.shard(0).schedule_at(2, [token] { (*token)(0, 40); });
@@ -214,7 +220,7 @@ TEST(ShardedEngine, LaggingShardNeverReceivesPastEvents) {
   ShardedEngine engine(2, 10);
   std::vector<SimTime> arrivals;
   auto ping = std::make_shared<std::function<void(int)>>();
-  *ping = [&engine, &arrivals, ping](int remaining) {
+  *ping = [&engine, &arrivals](int remaining) {
     arrivals.push_back(engine.shard(1).now());
     static_cast<void>(remaining);
   };

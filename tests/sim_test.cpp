@@ -1,10 +1,12 @@
 // Unit tests for the discrete-event engine and the trace sink.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/trace.h"
+#include "util/rng.h"
 
 namespace hpcs::sim {
 namespace {
@@ -269,6 +271,159 @@ TEST(EngineTest, StatsCountSchedulingTraffic) {
   EXPECT_EQ(stats.dispatched, 1u);
   EXPECT_EQ(stats.heap_high_water, 2u);
   EXPECT_GT(engine.dispatch_rate(), 0.0);
+}
+
+// --- reschedule and dispatch in place ----------------------------------------
+
+TEST(EngineRescheduleTest, OrdersExactlyLikeCancelThenSchedule) {
+  // Two engines see the same seeded script of schedules and moves, with
+  // times drawn from a tiny range so most events tie.  One moves events with
+  // reschedule(), the other with cancel() + schedule_at(); every dispatch
+  // must come out in the same order.
+  Engine moved;
+  Engine replaced;
+  std::vector<int> moved_order;
+  std::vector<int> replaced_order;
+  constexpr int kEvents = 64;
+  std::vector<EventId> moved_ids(kEvents);
+  std::vector<EventId> replaced_ids(kEvents);
+  auto log_to = [](std::vector<int>& order, int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  util::Rng rng(2026);
+  for (int i = 0; i < kEvents; ++i) {
+    const SimTime when = rng.uniform_u64(0, 6);
+    const auto slot = static_cast<std::size_t>(i);
+    moved_ids[slot] = moved.schedule_at(when, log_to(moved_order, i));
+    replaced_ids[slot] = replaced.schedule_at(when, log_to(replaced_order, i));
+  }
+  for (int step = 0; step < 200; ++step) {
+    const auto i = static_cast<std::size_t>(rng.uniform_u64(0, kEvents - 1));
+    const SimTime when = rng.uniform_u64(0, 6);
+    ASSERT_TRUE(moved.reschedule(moved_ids[i], when));
+    ASSERT_TRUE(replaced.cancel(replaced_ids[i]));
+    replaced_ids[i] =
+        replaced.schedule_at(when, log_to(replaced_order, static_cast<int>(i)));
+  }
+  EXPECT_EQ(moved.run(), static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(replaced.run(), static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(moved_order, replaced_order);
+  EXPECT_EQ(moved.stats().rescheduled, 200u);
+  EXPECT_EQ(moved.stats().cancelled, 0u);
+  EXPECT_EQ(moved.stats().scheduled, static_cast<std::uint64_t>(kEvents));
+}
+
+TEST(EngineRescheduleTest, EqualTimestampGoesBehindEventsAlreadyThere) {
+  Engine engine;
+  std::vector<int> order;
+  const EventId a = engine.schedule_at(10, [&] { order.push_back(1); });
+  engine.schedule_at(10, [&] { order.push_back(2); });
+  engine.schedule_at(20, [&] { order.push_back(3); });
+  EXPECT_TRUE(engine.reschedule(a, 10));  // fresh sequence number: now last
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+}
+
+TEST(EngineRescheduleTest, FiredCancelledOrStaleIdReturnsFalse) {
+  Engine engine;
+  const EventId fired = engine.schedule_at(1, [] {});
+  engine.run();
+  EXPECT_FALSE(engine.reschedule(fired, 5));
+
+  const EventId cancelled = engine.schedule_at(10, [] {});
+  ASSERT_TRUE(engine.cancel(cancelled));
+  EXPECT_FALSE(engine.reschedule(cancelled, 12));
+
+  // `cancelled`'s slot is recycled by the next event: the stale id must not
+  // move it.
+  bool fired_at_11 = false;
+  auto check = [&] { fired_at_11 = engine.now() == 11; };
+  const EventId fresh = engine.schedule_at(11, check);
+  EXPECT_EQ(fresh >> 32, cancelled >> 32);
+  EXPECT_FALSE(engine.reschedule(cancelled, 50));
+  EXPECT_FALSE(engine.reschedule(kInvalidEventId, 50));
+  EXPECT_EQ(engine.stats().rescheduled, 0u);
+  engine.run();
+  EXPECT_TRUE(fired_at_11);
+}
+
+TEST(EngineRescheduleTest, TimeInThePastThrows) {
+  Engine engine;
+  bool fired = false;
+  const EventId id = engine.schedule_at(10, [&] { fired = true; });
+  engine.run_until(5);
+  EXPECT_THROW(engine.reschedule(id, 4), std::logic_error);
+  EXPECT_EQ(engine.run(), 1u);  // the event itself is untouched
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(engine.now(), 10u);
+}
+
+TEST(EngineRescheduleTest, CallbackReArmsItselfUnderTheSameId) {
+  Engine engine;
+  EventId id = kInvalidEventId;
+  std::vector<SimTime> fired_at;
+  std::size_t pending_inside = 0;
+  SimTime next_inside = 0;
+  id = engine.schedule_at(10, [&] {
+    // The dispatching event stays queued until this callback returns.
+    pending_inside = engine.pending();
+    next_inside = engine.next_event_time();
+    fired_at.push_back(engine.now());
+    if (fired_at.size() < 4) {
+      EXPECT_TRUE(engine.reschedule(id, engine.now() + 10));
+    }
+  });
+  engine.schedule_at(35, [] {});
+  EXPECT_EQ(engine.run(), 5u);
+  EXPECT_EQ(fired_at, (std::vector<SimTime>{10, 20, 30, 40}));
+  EXPECT_EQ(pending_inside, 1u);  // only itself left at t=40
+  EXPECT_EQ(next_inside, 40u);
+  EXPECT_FALSE(engine.reschedule(id, 100));  // fired for good
+  EXPECT_EQ(engine.stats().scheduled, 2u);
+  EXPECT_EQ(engine.stats().rescheduled, 3u);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(EngineRescheduleTest, CancelledOwnEventNeverRunsItsOldCallback) {
+  // A callback cancels its own (still queued) event, then schedules a new
+  // one that takes over the freed slot.  The old callback must not be put
+  // back into that slot when it returns.
+  Engine engine;
+  int old_runs = 0;
+  int new_runs = 0;
+  EventId self = kInvalidEventId;
+  EventId successor = kInvalidEventId;
+  self = engine.schedule_at(10, [&] {
+    ++old_runs;
+    EXPECT_TRUE(engine.cancel(self));
+    successor = engine.schedule_at(20, [&] { ++new_runs; });
+  });
+  engine.run();
+  EXPECT_EQ(successor >> 32, self >> 32);  // same slot, new generation
+  EXPECT_NE(successor, self);
+  EXPECT_EQ(old_runs, 1);
+  EXPECT_EQ(new_runs, 1);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(EngineRescheduleTest, ThrowingCallbackLeavesNoQueuedHusk) {
+  Engine engine;
+  EventId self = kInvalidEventId;
+  int runs = 0;
+  self = engine.schedule_at(10, [&] {
+    ++runs;
+    if (runs == 1) {
+      EXPECT_TRUE(engine.reschedule(self, 20));
+      throw std::runtime_error("boom");
+    }
+  });
+  engine.schedule_at(15, [] { throw std::runtime_error("bang"); });
+  EXPECT_THROW(engine.run(), std::runtime_error);  // t=10: re-armed, kept
+  EXPECT_THROW(engine.run(), std::runtime_error);  // t=15: dropped
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(engine.run(), 1u);  // t=20: the re-armed callback, intact
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(engine.pending(), 0u);
 }
 
 // --- trace -------------------------------------------------------------------

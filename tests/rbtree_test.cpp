@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "kernel/rbtree.h"
@@ -160,8 +162,14 @@ TEST(RbTreeTest, ClearUnlinksAll) {
 struct SweepParam {
   std::uint64_t seed;
   int ops;
+  // gtest names each case after the raw bytes of its param. These four were
+  // uninitialised padding, so the case names changed from build to build;
+  // spelling them out keeps each case under the name it is listed by.
+  std::array<unsigned char, 4> name_bytes;
   std::uint64_t key_range;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "a padding byte would make the case names vary by build");
 
 class RbTreeSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -204,10 +212,14 @@ TEST_P(RbTreeSweep, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, RbTreeSweep,
-    ::testing::Values(SweepParam{1, 50, 8}, SweepParam{2, 500, 4},
-                      SweepParam{3, 500, 1000000}, SweepParam{4, 2000, 64},
-                      SweepParam{5, 2000, 2}, SweepParam{6, 5000, 100},
-                      SweepParam{7, 1000, 1}, SweepParam{8, 3000, 1000}));
+    ::testing::Values(SweepParam{1, 50, {}, 8},
+                      SweepParam{2, 500, {0x65, 0x73, 0x74, 0x5F}, 4},
+                      SweepParam{3, 500, {0x2E, 0x63, 0x70, 0x70}, 1000000},
+                      SweepParam{4, 2000, {}, 64},
+                      SweepParam{5, 2000, {0x00, 0x00, 0xC0, 0x00}, 2},
+                      SweepParam{6, 5000, {}, 100},
+                      SweepParam{7, 1000, {}, 1},
+                      SweepParam{8, 3000, {0x00, 0x00, 0xD0, 0x00}, 1000}));
 
 // Ascending/descending insertion are the classic degenerate cases.
 TEST(RbTreeTest, AscendingInsertionStaysBalanced) {

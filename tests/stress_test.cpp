@@ -2,9 +2,11 @@
 // and the kernel's global accounting invariants under random task soups.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "core/hpl.h"
@@ -21,7 +23,13 @@ namespace {
 struct EngineSweepParam {
   std::uint64_t seed;
   int ops;
+  // gtest names each case after the raw bytes of its param. These four were
+  // uninitialised padding, so the case names changed from build to build;
+  // spelling them out keeps each case under the name it is listed by.
+  std::array<unsigned char, 4> name_bytes;
 };
+static_assert(std::has_unique_object_representations_v<EngineSweepParam>,
+              "a padding byte would make the case names vary by build");
 
 class EngineStress : public ::testing::TestWithParam<EngineSweepParam> {};
 
@@ -74,11 +82,11 @@ TEST_P(EngineStress, MatchesReferenceDispatchOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweeps, EngineStress,
-                         ::testing::Values(EngineSweepParam{1, 50},
-                                           EngineSweepParam{2, 500},
-                                           EngineSweepParam{3, 2000},
-                                           EngineSweepParam{4, 200},
-                                           EngineSweepParam{5, 1000}));
+                         ::testing::Values(EngineSweepParam{1, 50, {}},
+                                           EngineSweepParam{2, 500, {}},
+                                           EngineSweepParam{3, 2000, {}},
+                                           EngineSweepParam{4, 200, {}},
+                                           EngineSweepParam{5, 1000, {}}));
 
 // --- kernel soup invariants --------------------------------------------------
 
@@ -86,7 +94,13 @@ struct SoupParam {
   std::uint64_t seed;
   int tasks;
   bool use_hpl;
+  // gtest names each case after the raw bytes of its param. These three were
+  // uninitialised padding, so the case names changed from build to build;
+  // spelling them out keeps each case under the name it is listed by.
+  std::array<unsigned char, 3> name_bytes;
 };
+static_assert(std::has_unique_object_representations_v<SoupParam>,
+              "a padding byte would make the case names vary by build");
 
 class KernelSoup : public ::testing::TestWithParam<SoupParam> {};
 
@@ -170,14 +184,15 @@ TEST_P(KernelSoup, GlobalInvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Soups, KernelSoup,
-                         ::testing::Values(SoupParam{11, 10, false},
-                                           SoupParam{12, 30, false},
-                                           SoupParam{13, 60, false},
-                                           SoupParam{14, 10, true},
-                                           SoupParam{15, 30, true},
-                                           SoupParam{16, 60, true},
-                                           SoupParam{17, 100, true},
-                                           SoupParam{18, 100, false}));
+                         ::testing::Values(
+                             SoupParam{11, 10, false, {0x7F, 0x00, 0x00}},
+                             SoupParam{12, 30, false, {0xE7, 0xDB, 0xA0}},
+                             SoupParam{13, 60, false, {0xE7, 0xDB, 0xA0}},
+                             SoupParam{14, 10, true, {0xFF, 0xFF, 0xFF}},
+                             SoupParam{15, 30, true, {0x56, 0x00, 0x00}},
+                             SoupParam{16, 60, true, {0x56, 0x00, 0x00}},
+                             SoupParam{17, 100, true, {0x7F, 0x00, 0x00}},
+                             SoupParam{18, 100, false, {0x56, 0x00, 0x00}}));
 
 // Determinism property over the same soup.
 TEST(KernelSoupDeterminism, IdenticalSeedIdenticalOutcome) {

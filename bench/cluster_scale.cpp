@@ -98,9 +98,10 @@ int main(int argc, char** argv) {
   std::printf("  serial : %7.1f ms/run  (%llu events)\n",
               serial_s * 1e3 / runs,
               static_cast<unsigned long long>(serial.events));
-  std::printf("  sharded: %7.1f ms/run  (%llu rounds, %llu cross-shard "
-              "msgs, %d threads)\n",
+  std::printf("  sharded: %7.1f ms/run  (%llu/%llu rounds inline, %llu "
+              "cross-shard msgs, %d threads)\n",
               sharded_s * 1e3 / runs,
+              static_cast<unsigned long long>(sharded.inline_rounds),
               static_cast<unsigned long long>(sharded.rounds),
               static_cast<unsigned long long>(sharded.forwards +
                                               sharded.gossip_messages),

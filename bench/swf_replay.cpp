@@ -19,6 +19,7 @@
 // --jobs 0 (default) replays the committed trace; a positive count drops
 // the trace and draws the same skewed workload synthetically at that scale
 // (the path CI uses stays fixed; a million-job soak is one flag away).
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -187,11 +188,17 @@ int main(int argc, char** argv) {
   full_cfg.fairshare.enabled = true;
   full_cfg.preempt.enabled = true;
   double sharded_s = 0.0;
+  std::uint64_t inline_rounds = 0;
+  std::uint64_t rounds = 0;
   for (const int threads : {1, 2, 4}) {
     batch::ReplayResult sharded;
     const double t = bench::Harness::time_seconds(
         [&] { sharded = batch::run_replay_sharded(full_cfg, trace, threads); });
-    if (threads == h.threads()) sharded_s = t;
+    if (threads == h.threads()) {
+      sharded_s = t;
+      inline_rounds = sharded.inline_rounds;
+      rounds = sharded.rounds;
+    }
     h.record("sharded_t" + std::to_string(threads) + "_ms", "ms",
              bench::Direction::kLowerIsBetter, t * 1e3);
     if (sharded.checksum() != full.checksum()) {
@@ -224,8 +231,11 @@ int main(int argc, char** argv) {
   h.record("rejected", "count", bench::Direction::kNeutral,
            static_cast<double>(full.rejected));
 
-  std::printf("swf_replay: ladder %.2fs, sharded(x%d) %.2fs  -> gates %s\n",
+  std::printf("swf_replay: ladder %.2fs, sharded(x%d) %.2fs (%llu/%llu "
+              "rounds inline)  -> gates %s\n",
               ladder_s, h.threads(), sharded_s,
+              static_cast<unsigned long long>(inline_rounds),
+              static_cast<unsigned long long>(rounds),
               gates_ok ? "PASS" : "FAIL");
   const int rc = h.finish();
   return gates_ok ? rc : 1;

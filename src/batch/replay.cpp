@@ -758,6 +758,7 @@ ReplayResult run_replay_sharded(const ReplayConfig& config,
   ReplayResult result = sim.collect();
   result.events = driver.engine.stats().dispatched;
   result.rounds = driver.engine.stats().rounds;
+  result.inline_rounds = driver.engine.stats().inline_rounds;
   return result;
 }
 

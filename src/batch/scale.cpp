@@ -1149,6 +1149,7 @@ ScaleResult run_scale_sharded(const ScaleConfig& config, int threads) {
   ScaleResult result = sim.collect();
   result.events = driver.engine.stats().dispatched;
   result.rounds = driver.engine.stats().rounds;
+  result.inline_rounds = driver.engine.stats().inline_rounds;
   return result;
 }
 

@@ -203,6 +203,7 @@ struct ScaleResult {
   std::uint64_t gossip_messages = 0;  // free-capacity broadcasts delivered
   std::uint64_t events = 0;           // engine events dispatched
   std::uint64_t rounds = 0;           // conservative windows (0 when serial)
+  std::uint64_t inline_rounds = 0;    // of those, run without the workers
   double mean_wait_s = 0.0;
   double p95_wait_s = 0.0;
   double mean_slowdown = 0.0;  // bounded slowdown, tau = one cycle

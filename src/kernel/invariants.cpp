@@ -62,9 +62,8 @@ void Kernel::check_invariants() {
     }
   }
 
-  for (const auto& [tid, owned] : tasks_) {
-    (void)tid;
-    const Task& t = *owned;
+  for (std::size_t i = 0; i < audit_tasks_.size();) {
+    const Task& t = *audit_tasks_[i];
     auto fail = [&](const std::string& msg) {
       errors.push_back("task " + t.name + ": " + msg);
     };
@@ -108,6 +107,14 @@ void Kernel::check_invariants() {
                " current with no resched open");
         }
         break;
+    }
+    // A reaped task (exited, its hw slot returned) is final: audited once
+    // here, then left out of every later walk.
+    if (t.state == TaskState::kExited && t.hw_slot < 0) {
+      audit_tasks_[i] = audit_tasks_.back();
+      audit_tasks_.pop_back();
+    } else {
+      ++i;
     }
   }
 

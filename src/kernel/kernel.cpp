@@ -173,6 +173,7 @@ Tid Kernel::spawn(SpawnSpec spec) {
   t.acct.created_at = engine_.now();
   t.cfs_node.owner = &t;
   tasks_.emplace(tid, std::move(owned));
+  audit_tasks_.push_back(&t);
   if (free_hw_slots_.empty()) {
     t.hw_slot = hw_slots_++;
   } else {

@@ -316,6 +316,11 @@ class Kernel {
 
   std::vector<CpuRq> rqs_;
   std::unordered_map<Tid, std::unique_ptr<Task>> tasks_;
+  /// The tasks check_invariants() still walks: every task from its spawn to
+  /// the first check after its reap (finish_task_exit), after which nothing
+  /// can change it.  The walk drops reaped tasks itself, so spawn and exit
+  /// pay O(1) and the audit costs the live tasks, not every task ever made.
+  std::vector<Task*> audit_tasks_;
   Tid next_tid_ = 1;
   /// Dense hardware-model slots (Task::hw_slot): handed out at spawn and
   /// returned at exit, so the models' per-task storage stays at the peak

@@ -94,6 +94,24 @@ EventId Engine::schedule_at(SimTime when, Callback fn) {
   return make_id(idx, s.gen);
 }
 
+std::size_t Engine::count_due(SimTime limit, std::size_t cap) const {
+  std::size_t count = 0;
+  count_due_from(0, limit, cap, count);
+  return count;
+}
+
+void Engine::count_due_from(std::size_t pos, SimTime limit, std::size_t cap,
+                            std::size_t& count) const {
+  // A parent never orders after its children, so the due entries form a
+  // subtree at the root: stop at the first entry past `limit` on each path.
+  if (count >= cap || pos >= heap_.size() || slots_[heap_[pos]].when > limit) {
+    return;
+  }
+  ++count;
+  count_due_from(2 * pos + 1, limit, cap, count);
+  count_due_from(2 * pos + 2, limit, cap, count);
+}
+
 EventId Engine::schedule_after(SimDuration delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }

@@ -90,6 +90,13 @@ class Engine {
     return heap_.empty() ? kNoEvent : slots_[heap_[0]].when;
   }
 
+  /// Pending events with time <= `limit`, counted up to `cap`: returns
+  /// min(cap, that count) after a walk of the heap's due prefix that
+  /// visits O(cap) entries.  Inside a callback the dispatching event counts
+  /// like pending() does.  The sharded driver uses this to tell thin
+  /// windows from wide ones.
+  std::size_t count_due(SimTime limit, std::size_t cap) const;
+
   /// Run until the event queue drains or `stop()` is called.
   /// Returns the number of events dispatched.
   ///
@@ -164,6 +171,10 @@ class Engine {
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
   void heap_swap(std::size_t a, std::size_t b);
+  /// count_due's walk of the subtree at `pos`; recursion depth is the heap
+  /// height.
+  void count_due_from(std::size_t pos, SimTime limit, std::size_t cap,
+                      std::size_t& count) const;
   /// Detach the heap entry at `pos` (any position) without dispatching.
   void heap_remove(std::size_t pos);
   void release_slot(std::uint32_t idx);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <barrier>
+#include <cstddef>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,12 @@ struct BarrierCompletion {
 };
 
 using RoundBarrier = std::barrier<BarrierCompletion>;
+
+/// A window with work on two or more shards and at least this many due
+/// events is wide: the barrier releases the workers to share it.  Anything
+/// thinner runs on the thread that planned it, where it costs less than
+/// waking a worker does.
+constexpr std::size_t kThinWindowEvents = 32;
 
 }  // namespace
 
@@ -81,89 +88,122 @@ void ShardedEngine::stop(int s) {
   stop_.store(true, std::memory_order_relaxed);
 }
 
+void ShardedEngine::exchange() {
+  // Drain every outbox into one batch and deliver in a deterministic total
+  // order: (arrival time, source shard, per-source sequence).  The order is
+  // a pure function of the simulation — never of thread timing — which is
+  // what makes sharded runs reproducible at any thread count.
+  for (const auto& sh : shards_) {
+    for (auto& msg : sh->outbox) exchange_buf_.push_back(std::move(msg));
+    sh->outbox.clear();
+  }
+  std::sort(exchange_buf_.begin(), exchange_buf_.end(),
+            [](const PendingSend& a, const PendingSend& b) {
+              if (a.when != b.when) return a.when < b.when;
+              if (a.src != b.src) return a.src < b.src;
+              return a.seq < b.seq;
+            });
+  stats_.messages += exchange_buf_.size();
+  stats_.exchange_high_water =
+      std::max(stats_.exchange_high_water, exchange_buf_.size());
+  for (auto& msg : exchange_buf_) {
+    shards_[msg.dst]->engine.schedule_at(msg.when, std::move(msg.fn));
+  }
+  exchange_buf_.clear();
+}
+
+bool ShardedEngine::window_is_thin() const {
+  int busy = 0;
+  for (const auto& sh : shards_) {
+    if (sh->engine.next_event_time() <= window_limit_) ++busy;
+  }
+  if (busy <= 1) return true;
+  std::size_t due = 0;
+  for (const auto& sh : shards_) {
+    due += sh->engine.count_due(window_limit_, kThinWindowEvents - due);
+    if (due >= kThinWindowEvents) return false;
+  }
+  return true;
+}
+
 void ShardedEngine::exchange_and_plan() {
   try {
-    // Drain every outbox into one batch and deliver in a deterministic
-    // total order: (arrival time, source shard, per-source sequence).  The
-    // order is a pure function of the simulation — never of thread timing —
-    // which is what makes sharded runs reproducible at any thread count.
-    std::vector<PendingSend> batch;
-    std::size_t total = 0;
-    for (const auto& sh : shards_) total += sh->outbox.size();
-    batch.reserve(total);
-    for (const auto& sh : shards_) {
-      for (auto& msg : sh->outbox) batch.push_back(std::move(msg));
-      sh->outbox.clear();
-    }
-    std::sort(batch.begin(), batch.end(),
-              [](const PendingSend& a, const PendingSend& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    stats_.messages += batch.size();
-    stats_.exchange_high_water =
-        std::max(stats_.exchange_high_water, batch.size());
-    for (auto& msg : batch) {
-      shards_[msg.dst]->engine.schedule_at(msg.when, std::move(msg.fn));
-    }
+    for (;;) {
+      exchange();
+      if (stop_.load(std::memory_order_relaxed) ||
+          has_error_.load(std::memory_order_relaxed)) {
+        done_ = true;
+        return;
+      }
 
-    if (stop_.load(std::memory_order_relaxed) ||
-        has_error_.load(std::memory_order_relaxed)) {
-      done_ = true;
-      return;
+      SimTime min_next = kNoEvent;
+      for (const auto& sh : shards_) {
+        min_next = std::min(min_next, sh->engine.next_event_time());
+      }
+      if (min_next == kNoEvent) {  // every queue drained: the run is complete
+        done_ = true;
+        return;
+      }
+      // Conservative window: any message generated this round departs at
+      // t >= min_next and arrives at t + lookahead > limit, so no shard can
+      // be handed an event at or before a time it already executed past.
+      window_limit_ = min_next > kNoEvent - lookahead_
+                          ? kNoEvent
+                          : min_next + lookahead_ - 1;
+      ++stats_.rounds;
+      if (!window_is_thin()) {
+        next_shard_.store(0, std::memory_order_relaxed);
+        return;  // release the barrier: the workers share a wide window
+      }
+      // A thin window runs here.  Its shards are independent within the
+      // window, so running them one after another on this thread gives the
+      // same events, outboxes and clocks as running them on the workers.
+      ++stats_.inline_rounds;
+      std::uint64_t dispatched = 0;
+      for (const auto& sh : shards_) {
+        dispatched += run_shard(*sh, window_limit_);
+      }
+      dispatched_this_run_.fetch_add(dispatched, std::memory_order_relaxed);
     }
-
-    SimTime min_next = kNoEvent;
-    for (const auto& sh : shards_) {
-      min_next = std::min(min_next, sh->engine.next_event_time());
-    }
-    if (min_next == kNoEvent) {  // every queue drained: the run is complete
-      done_ = true;
-      return;
-    }
-    // Conservative window: any message generated this round departs at
-    // t >= min_next and arrives at t + lookahead > limit, so no shard can
-    // be handed an event at or before a time it already executed past.
-    window_limit_ = min_next > kNoEvent - lookahead_
-                        ? kNoEvent
-                        : min_next + lookahead_ - 1;
-    next_shard_.store(0, std::memory_order_relaxed);
-    ++stats_.rounds;
   } catch (...) {
-    bool expected = false;
-    if (has_error_.compare_exchange_strong(expected, true)) {
-      first_error_ = std::current_exception();
-    }
+    record_error();
+    exchange_buf_.clear();  // a failed delivery leaves the batch half-moved
     done_ = true;
+  }
+}
+
+void ShardedEngine::record_error() {
+  bool expected = false;
+  if (has_error_.compare_exchange_strong(expected, true)) {
+    first_error_ = std::current_exception();
+  }
+}
+
+std::uint64_t ShardedEngine::run_shard(Shard& sh, SimTime limit) {
+  // A shard with nothing in the window is skipped entirely; its clock lags
+  // behind but every future delivery lands ahead of it.
+  if (sh.engine.next_event_time() > limit) return 0;
+  try {
+    return sh.engine.run_until(limit);
+  } catch (...) {
+    record_error();
+    stop_.store(true, std::memory_order_relaxed);
+    return 0;
   }
 }
 
 void ShardedEngine::run_worker(void* barrier) {
   auto& bar = *static_cast<RoundBarrier*>(barrier);
   std::uint64_t dispatched = 0;
-  for (;;) {
-    bar.arrive_and_wait();  // completion step exchanged + planned the round
-    if (done_) break;
+  while (!done_) {  // a wide window is planned
     const SimTime limit = window_limit_;
     for (;;) {
       const std::uint32_t i =
           next_shard_.fetch_add(1, std::memory_order_relaxed);
       if (i >= shards_.size()) break;
-      Shard& sh = *shards_[i];
-      // A shard with nothing in the window is skipped entirely; its clock
-      // lags behind but every future delivery lands ahead of it.
-      if (sh.engine.next_event_time() > limit) continue;
-      try {
-        dispatched += sh.engine.run_until(limit);
-      } catch (...) {
-        bool expected = false;
-        if (has_error_.compare_exchange_strong(expected, true)) {
-          first_error_ = std::current_exception();
-        }
-        stop_.store(true, std::memory_order_relaxed);
-      }
+      dispatched += run_shard(*shards_[i], limit);
     }
+    bar.arrive_and_wait();  // the completion step plans the next wide one
   }
   dispatched_this_run_.fetch_add(dispatched, std::memory_order_relaxed);
 }
@@ -189,14 +229,21 @@ std::uint64_t ShardedEngine::run(int threads) {
   }
   threads = std::min(threads, num_shards());
 
-  RoundBarrier bar(threads, BarrierCompletion{this});
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  for (int t = 1; t < threads; ++t) {
-    pool.emplace_back([this, &bar] { run_worker(&bar); });
+  // The calling thread delivers the sends made before run() and runs every
+  // thin window up to the first wide one.  Workers start only then, so a
+  // run with no wide window never leaves this thread, and its allocations
+  // reuse the caller's malloc arena.
+  exchange_and_plan();
+  if (!done_) {
+    RoundBarrier bar(threads, BarrierCompletion{this});
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads - 1));
+    for (int t = 1; t < threads; ++t) {
+      pool.emplace_back([this, &bar] { run_worker(&bar); });
+    }
+    run_worker(&bar);  // the calling thread is worker 0
+    for (auto& th : pool) th.join();
   }
-  run_worker(&bar);  // the calling thread is worker 0
-  for (auto& th : pool) th.join();
 
   const std::uint64_t dispatched =
       dispatched_this_run_.load(std::memory_order_relaxed);

@@ -21,6 +21,16 @@
 // destination engines — one deterministic total order, independent of
 // thread count and thread timing.  Rounds repeat until every queue drains.
 //
+// Thin windows never reach the workers.  The barrier's completion step is
+// single-threaded, and after planning a window it checks how much work the
+// window holds: when at most one shard has events in it, or fewer than a
+// fixed 32 events are due across all shards, the completing thread runs
+// those shards itself, exchanges and plans again, and releases the barrier
+// only for a wide window; run() does the same on the calling thread before
+// it starts any worker.  A hand-off costs microseconds of CPU per worker,
+// more than a handful of events, and a shard's window runs the same events
+// in the same order on any thread, so only the executing thread changes.
+//
 // Determinism contract: shard-local execution is the serial Engine's
 // (when, seq) order, and the exchange order above is a pure function of the
 // simulation, so a ShardedEngine run is bit-for-bit reproducible at any
@@ -45,6 +55,7 @@ namespace hpcs::sim {
 /// Aggregate accounting across one or more run() calls.
 struct ShardedStats {
   std::uint64_t rounds = 0;         // conservative windows executed
+  std::uint64_t inline_rounds = 0;  // of those, run without the workers
   std::uint64_t messages = 0;       // cross-shard events exchanged
   std::uint64_t dispatched = 0;     // events dispatched across all shards
   /// Most cross-shard messages exchanged at one barrier (bounds the
@@ -112,8 +123,9 @@ class ShardedEngine {
   const ShardedStats& stats() const { return stats_; }
 
   /// Internal: the single-threaded barrier step (drain outboxes, deliver in
-  /// deterministic order, plan the next window).  Public only so the round
-  /// barrier's noexcept completion hook can reach it; never call directly.
+  /// deterministic order, plan the next window, and run thin windows until
+  /// a wide one needs the workers).  Public only so the round barrier's
+  /// noexcept completion hook can reach it; never call directly.
   void exchange_and_plan();
 
  private:
@@ -131,13 +143,25 @@ class ShardedEngine {
     std::uint64_t send_seq = 0;
   };
 
-  /// Worker loop: one per thread; round state is shared with
-  /// exchange_and_plan() (all accesses separated by the barrier's
-  /// happens-before edges).
+  /// Worker loop: one per thread, started once a wide window is planned;
+  /// round state is shared with exchange_and_plan() (all accesses separated
+  /// by thread start and the barrier's happens-before edges).
   void run_worker(void* barrier);
+
+  /// Deliver every outbox's sends in the deterministic total order.
+  void exchange();
+  /// True when the planned window is too thin to wake the workers for.
+  bool window_is_thin() const;
+  /// Run one shard's window (skipped when it has nothing due); a throwing
+  /// callback is recorded and stops the run at the next barrier.  Returns
+  /// the events dispatched.
+  std::uint64_t run_shard(Shard& sh, SimTime limit);
+  /// Keep the exception being handled if it is the run's first.
+  void record_error();
 
   SimDuration lookahead_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<PendingSend> exchange_buf_;  // reused by every exchange
   // Round state written by exchange_and_plan(), read by workers.
   SimTime window_limit_ = 0;
   bool done_ = false;

@@ -190,6 +190,33 @@ TEST(ClusterScale, ContendedScenarioShardedMatchesSerial) {
   }
 }
 
+/// Sixteen shards under load.  The light and contended scenarios above are
+/// thin (four shards, every window runs on the barrier's completing
+/// thread); here about a quarter of the windows hold enough due events on
+/// enough shards to go to the workers, so both execution paths interleave.
+ScaleConfig wide_config() {
+  ScaleConfig cfg = contended_config();
+  cfg.nodes = 1024;
+  cfg.shards = 16;
+  cfg.arrivals.jobs = 800;
+  cfg.arrivals.mean_interarrival = 2 * kMillisecond;
+  return cfg;
+}
+
+TEST(ClusterScale, WideScenarioShardedMatchesSerialOnBothPaths) {
+  const ScaleResult serial = batch::run_scale_serial(wide_config());
+  for (int threads : {1, 2, 4}) {
+    const ScaleResult sharded =
+        batch::run_scale_sharded(wide_config(), threads);
+    expect_identical(serial, sharded);
+    EXPECT_EQ(sharded.events, serial.events) << threads;
+    // Both paths carry real work: at least a tenth of the windows go to
+    // the workers, and some run inline.
+    EXPECT_GT(sharded.inline_rounds, 0u) << threads;
+    EXPECT_LT(sharded.inline_rounds * 10, sharded.rounds * 9) << threads;
+  }
+}
+
 TEST(ClusterScale, ForwardedJobsRunAwayFromHome) {
   const ScaleResult result = batch::run_scale_serial(contended_config());
   std::size_t migrated = 0;
@@ -290,6 +317,8 @@ TEST(ClusterScaleCkpt, CampaignShardedMatchesSerialAt124Threads) {
     EXPECT_EQ(sharded.ckpt.restart_stall_ns, serial.ckpt.restart_stall_ns);
     EXPECT_EQ(sharded.ckpt.pfs.writes, serial.ckpt.pfs.writes);
     EXPECT_EQ(sharded.ckpt.pfs.queued_ns, serial.ckpt.pfs.queued_ns);
+    // A few of its windows go to the workers, the rest run inline.
+    EXPECT_LT(sharded.inline_rounds, sharded.rounds) << threads;
   }
 }
 

@@ -139,6 +139,28 @@ void seed_ring_scenario(ShardedEngine& engine, ShardLogs& logs, int hops) {
   engine.shard(0).schedule_at(2, [token] { (*token)(0, 40); });
 }
 
+/// Dense pre-seeded work over [1, span]: shard s holds an event every
+/// 1 + s ns, so every window of a few dozen ns has far more than the 32
+/// events queued across all shards that make a window wide.  Every tenth
+/// event also messages the next shard.
+void seed_dense_work(ShardedEngine& engine, ShardLogs& logs, SimTime span) {
+  const int shards = engine.num_shards();
+  for (int s = 0; s < shards; ++s) {
+    const auto step = static_cast<SimTime>(1 + s);
+    for (SimTime at = step; at <= span; at += step) {
+      engine.shard(s).schedule_at(at, [&engine, &logs, s, at] {
+        logs.note(s, at, "dense");
+        if (at % 10 != 0) return;
+        const int next = (s + 1) % engine.num_shards();
+        const SimTime arrival = at + engine.lookahead();
+        engine.send(s, next, arrival, [&logs, next, arrival] {
+          logs.note(next, arrival, "msg");
+        });
+      });
+    }
+  }
+}
+
 TEST(ShardedEngine, DeterministicAcrossThreadCounts) {
   ShardLogs reference(4);
   std::uint64_t reference_dispatched = 0;
@@ -157,6 +179,61 @@ TEST(ShardedEngine, DeterministicAcrossThreadCounts) {
     seed_ring_scenario(engine, logs, 25);
     EXPECT_EQ(engine.run(threads), reference_dispatched) << threads;
     EXPECT_TRUE(engine.drained());
+    EXPECT_EQ(logs.logs, reference.logs) << "threads=" << threads;
+  }
+}
+
+TEST(ShardedEngine, ThinWindowsRunWithoutTheWorkers) {
+  // The ring never queues more than five events (one per local chain, plus
+  // the token), far under the 32 due events that make a window wide.
+  ShardLogs reference(4);
+  {
+    ShardedEngine engine(4, 10);
+    seed_ring_scenario(engine, reference, 25);
+    engine.run(1);
+  }
+  for (int threads : {2, 4}) {
+    ShardLogs logs(4);
+    ShardedEngine engine(4, 10);
+    seed_ring_scenario(engine, logs, 25);
+    engine.run(threads);
+    EXPECT_TRUE(engine.drained());
+    EXPECT_GT(engine.stats().rounds, 0u);
+    EXPECT_EQ(engine.stats().inline_rounds, engine.stats().rounds) << threads;
+    EXPECT_EQ(logs.logs, reference.logs) << "threads=" << threads;
+  }
+}
+
+TEST(ShardedEngine, WideWindowsGoToTheWorkers) {
+  // The ring plus dense work on every shard up to t=1000: each 50 ns window
+  // there holds about a hundred queued events on four shards and goes to
+  // the workers; after it the token alone is thin again.  Both paths must
+  // interleave without changing a single log line.
+  ShardLogs reference(4);
+  std::uint64_t reference_dispatched = 0;
+  std::uint64_t reference_rounds = 0;
+  std::uint64_t reference_inline = 0;
+  {
+    ShardedEngine engine(4, 50);
+    seed_ring_scenario(engine, reference, 25);
+    seed_dense_work(engine, reference, 1000);
+    reference_dispatched = engine.run(1);
+    reference_rounds = engine.stats().rounds;
+    reference_inline = engine.stats().inline_rounds;
+  }
+  EXPECT_GT(reference_inline, 0u);
+  EXPECT_LT(reference_inline, reference_rounds);
+  for (int threads : {2, 4}) {
+    ShardLogs logs(4);
+    ShardedEngine engine(4, 50);
+    seed_ring_scenario(engine, logs, 25);
+    seed_dense_work(engine, logs, 1000);
+    EXPECT_EQ(engine.run(threads), reference_dispatched) << threads;
+    EXPECT_TRUE(engine.drained());
+    // Which windows are thin is a property of the simulation, not of the
+    // thread count.
+    EXPECT_EQ(engine.stats().rounds, reference_rounds) << threads;
+    EXPECT_EQ(engine.stats().inline_rounds, reference_inline) << threads;
     EXPECT_EQ(logs.logs, reference.logs) << "threads=" << threads;
   }
 }
@@ -210,6 +287,65 @@ TEST(ShardedEngine, CallbackExceptionPropagatesAfterQuiesce) {
     });
     engine.shard(1).schedule_at(5, [] {});
     EXPECT_THROW(engine.run(threads), std::runtime_error);
+  }
+}
+
+TEST(ShardedEngine, ExceptionInAnInlinedWindowFinishesTheWindowFirst) {
+  // One thin window [5, 14]: shard 0 throws at 5, shard 1 still runs its
+  // events at 6 and 12, and nothing past the window runs.  run() rethrows
+  // the callback's exception, counts only the completed shard's events and
+  // leaves the engine stopped.
+  for (int threads : {1, 2}) {
+    ShardedEngine engine(2, 10);
+    std::vector<SimTime> ran;
+    engine.shard(0).schedule_at(5, [] {
+      throw std::runtime_error("scenario failure");
+    });
+    engine.shard(0).schedule_at(9, [&ran] { ran.push_back(9); });
+    for (const SimTime at : {6, 12, 40}) {
+      engine.shard(1).schedule_at(at, [&ran, at] { ran.push_back(at); });
+    }
+    try {
+      engine.run(threads);
+      ADD_FAILURE() << "run() did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "scenario failure");
+    }
+    EXPECT_EQ(ran, (std::vector<SimTime>{6, 12})) << threads;
+    EXPECT_TRUE(engine.stopped());
+    EXPECT_EQ(engine.stats().dispatched, 2u);
+    EXPECT_EQ(engine.stats().rounds, 1u);
+    EXPECT_EQ(engine.stats().inline_rounds, 1u);
+  }
+}
+
+TEST(ShardedEngine, StopInAnInlinedWindowResumesWhereItLeftOff) {
+  // Window [5, 14]: shard 0 stops at 5 (its event at 7 waits, its clock
+  // stays at the stop point) while shard 1 finishes the window.  The
+  // resumed run then replays exactly the uninterrupted schedule.
+  for (int threads : {1, 2}) {
+    ShardLogs logs(2);
+    ShardedEngine engine(2, 10);
+    engine.shard(0).schedule_at(5, [&] {
+      logs.note(0, engine.shard(0).now(), "stop");
+      engine.stop(0);
+    });
+    engine.shard(0).schedule_at(7, [&] { logs.note(0, 7, "late"); });
+    for (const SimTime at : {6, 9, 20}) {
+      engine.shard(1).schedule_at(at, [&logs, at] { logs.note(1, at, "b"); });
+    }
+    EXPECT_EQ(engine.run(threads), 3u);
+    EXPECT_TRUE(engine.stopped());
+    EXPECT_FALSE(engine.drained());
+    EXPECT_EQ(engine.shard(0).now(), 5u);
+    EXPECT_EQ(engine.shard(1).now(), 14u);
+    EXPECT_EQ(logs.logs[1], (std::vector<std::string>{"6:b", "9:b"}));
+    EXPECT_EQ(engine.run(threads), 2u);
+    EXPECT_TRUE(engine.drained());
+    EXPECT_EQ(logs.logs[0], (std::vector<std::string>{"5:stop", "7:late"}));
+    EXPECT_EQ(logs.logs[1], (std::vector<std::string>{"6:b", "9:b", "20:b"}));
+    EXPECT_EQ(engine.stats().inline_rounds, engine.stats().rounds);
+    EXPECT_EQ(engine.stats().dispatched, 5u);
   }
 }
 

@@ -1,6 +1,12 @@
 // Unit tests for the discrete-event engine and the trace sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -424,6 +430,82 @@ TEST(EngineRescheduleTest, ThrowingCallbackLeavesNoQueuedHusk) {
   EXPECT_EQ(engine.run(), 1u);  // t=20: the re-armed callback, intact
   EXPECT_EQ(runs, 2);
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+// --- count_due ---------------------------------------------------------------
+
+TEST(EngineCountDueTest, AgreesWithALinearScanOracle) {
+  // A seeded random sequence of schedules, cancels, reschedules and single
+  // dispatches, with times drawn from a narrow range so many events tie.
+  // After every step, and from inside every callback (while the dispatching
+  // event is still queued at now()), count_due must equal a plain scan of
+  // the pending events, capped.
+  Engine engine;
+  std::map<EventId, SimTime> pending;  // the oracle
+  constexpr std::array<std::size_t, 4> kCaps = {0, 1, 32, ~std::size_t{0}};
+  util::Rng rng(0xc0de);
+  auto oracle_due = [&](SimTime limit, std::size_t cap) {
+    std::size_t n = 0;
+    for (const auto& [id, when] : pending) n += when <= limit ? 1 : 0;
+    return std::min(n, cap);
+  };
+  auto expect_agreement = [&](const char* where) {
+    const SimTime now = engine.now();
+    const SimTime near = now + rng.uniform_u64(0, 60);
+    for (const SimTime limit : {now, near, now + 200, kNoEvent}) {
+      for (const std::size_t cap : kCaps) {
+        ASSERT_EQ(engine.count_due(limit, cap), oracle_due(limit, cap))
+            << where << " limit=" << limit << " cap=" << cap;
+      }
+    }
+  };
+  int callbacks = 0;
+  EventId fired = kInvalidEventId;
+  auto schedule = [&] {
+    const SimTime when = engine.now() + rng.uniform_u64(0, 50);
+    auto id = std::make_shared<EventId>(kInvalidEventId);
+    *id = engine.schedule_at(when, [&, id] {
+      ++callbacks;
+      fired = *id;
+      expect_agreement("in callback");
+      engine.stop();  // one dispatch per run()
+    });
+    pending.emplace(*id, when);
+  };
+  for (int i = 0; i < 100; ++i) schedule();
+  for (int step = 0; step < 20'000; ++step) {
+    const std::size_t pick =
+        pending.empty() ? 0 : rng.uniform_u64(0, pending.size() - 1);
+    auto it = pending.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(pick));
+    switch (rng.uniform_u64(0, 9)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        schedule();
+        break;
+      case 4:
+      case 5:
+        if (pending.empty()) break;
+        it->second = engine.now() + rng.uniform_u64(0, 50);
+        ASSERT_TRUE(engine.reschedule(it->first, it->second));
+        break;
+      case 6:
+        if (pending.empty()) break;
+        ASSERT_TRUE(engine.cancel(it->first));
+        pending.erase(it);
+        break;
+      default:
+        if (pending.empty()) break;
+        ASSERT_EQ(engine.run(), 1u);
+        ASSERT_EQ(pending.erase(fired), 1u);
+        break;
+    }
+    expect_agreement("between events");
+    ASSERT_EQ(engine.pending(), pending.size());
+  }
+  EXPECT_GT(callbacks, 1000);
 }
 
 // --- trace -------------------------------------------------------------------

@@ -119,6 +119,40 @@ TEST(ReplayTest, GoldenChecksumPinsTheSchedule) {
   EXPECT_EQ(result.checksum(), kGoldenChecksum);
 }
 
+/// The whole policy stack at once: queue routing and priorities, fairshare,
+/// preemption with checkpoint banking, EASY backfill and forwarding, on the
+/// skewed trace with an express lane wide enough to preempt often.
+/// Re-derive with: print run_replay_serial(full_stack_replay(),
+/// skewed_trace()).checksum().
+constexpr std::uint64_t kFullStackChecksum = 6562977406520751365ULL;
+
+ReplayConfig full_stack_replay() {
+  ReplayConfig config = express_replay();
+  config.queues[0].max_walltime = 240 * kMillisecond;
+  config.fairshare.enabled = true;
+  config.fairshare.halflife = 1 * kSecond;
+  config.preempt.enabled = true;
+  return config;
+}
+
+TEST(ReplayTest, FullPolicyStackShardedMatchesSerialAndPin) {
+  const ReplayConfig config = full_stack_replay();
+  const std::vector<JobSpec> trace = skewed_trace();
+  const ReplayResult serial = run_replay_serial(config, trace);
+  EXPECT_EQ(serial.checksum(), kFullStackChecksum);
+  EXPECT_EQ(serial.preemptions, 42u);
+  EXPECT_EQ(serial.forwards, 90u);
+  EXPECT_NEAR(serial.preempt_lost_s, 0.266, 0.0005);
+  for (const int threads : {1, 2, 4}) {
+    const ReplayResult sharded = run_replay_sharded(config, trace, threads);
+    EXPECT_EQ(sharded.checksum(), serial.checksum()) << threads;
+    EXPECT_EQ(sharded.preemptions, serial.preemptions) << threads;
+    EXPECT_EQ(sharded.forwards, serial.forwards) << threads;
+    EXPECT_EQ(sharded.gossip_messages, serial.gossip_messages) << threads;
+    EXPECT_EQ(sharded.preempt_lost_s, serial.preempt_lost_s) << threads;
+  }
+}
+
 TEST(ReplayTest, FairshareImprovesJainOnSkewedTrace) {
   const ReplayConfig fcfs = small_replay();
   ReplayConfig fair = small_replay();

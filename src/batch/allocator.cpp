@@ -154,6 +154,7 @@ int NodeAllocator::busy_slots(int node) const {
 }
 
 int NodeAllocator::free_slots() const {
+  if (slots_per_node_ == 1) return free_;
   int slots = 0;
   for (int i = 0; i < total(); ++i) {
     if (states_[static_cast<std::size_t>(i)] == NodeState::kOffline) continue;

@@ -38,8 +38,8 @@ class NodeAllocator {
   /// `block` is the chassis size used for alignment preference (clamped to
   /// [1, nodes]).  `slots_per_node` > 1 enables shared-node mode: a node
   /// holds that many job slots and allocate_slots() may pack several jobs
-  /// onto one node.  The default 1 keeps the legacy exclusive behaviour
-  /// bit for bit.
+  /// onto one node.  At the default 1 every node is exclusive and the slot
+  /// calls are the node calls, at the same cost.
   explicit NodeAllocator(int nodes, int block = 4,
                          AllocPolicy policy = AllocPolicy::kBestFit,
                          int slots_per_node = 1);
@@ -86,7 +86,8 @@ class NodeAllocator {
   /// is how a fault on a shared node knows every co-located victim.
   int busy_slots(int node) const;
   /// Schedulable slots across free and (partially) busy nodes; offline
-  /// nodes contribute nothing regardless of their occupants.
+  /// nodes contribute nothing regardless of their occupants.  With
+  /// slots_per_node == 1 this is free_count(), at the same cost.
   int free_slots() const;
   /// True when the most recent allocate() was one contiguous run.
   bool last_allocation_contiguous() const { return last_contiguous_; }

@@ -1,11 +1,9 @@
 // Trace replay: a large SWF workload through the federated multi-queue
 // scheduler at batch-event granularity, serial or sharded.
 //
-// This is the production-scheduler counterpart of src/batch/scale.cpp: the
-// same determinism contract (grid-aligned commuting mutations, decisions in
-// a coalesced pass at grid+1, cross-shard messages only over the fabric
-// with latency >= the partition lookahead), but the per-shard scheduler is
-// the PBS-class policy cycle instead of plain FCFS:
+// This is the production-scheduler counterpart of batch/scale.h, on the
+// same federated core and determinism contract (batch/federated.h), with
+// the PBS-class policy cycle as the per-shard scheduler instead of FCFS:
 //
 //   * Jobs are routed into prioritised execution queues (batch/queue.h) by
 //     width/walltime at submission; per-queue node limits cap how much of
@@ -16,14 +14,15 @@
 //     within a priority level — the skewed-user correction the swf_replay
 //     bench gates on against plain FCFS.
 //   * Preemption: a blocked high-priority candidate may suspend running
-//     lower-priority jobs (youngest first).  A suspended job keeps the
+//     lower-priority jobs (youngest first, batch/policy.h's victim choice,
+//     shared with BatchScheduler).  A suspended job keeps the
 //     work banked at its periodic checkpoint commits (interval from
 //     ReplayCkptConfig, restart read charged via ckpt::pfs_transfer_time)
 //     and re-enters the queue at its original arrival; the rest is lost
 //     and accounted.
-//   * EASY backfill within each shard, and scale.cpp's gossip/forwarding
-//     between shards (a blocked head may migrate to a reportedly freer
-//     shard).
+//   * EASY backfill within each shard (batch/policy.h's sweep, shared with
+//     BatchScheduler), and the core's gossip/forwarding between shards (a
+//     blocked head may migrate to a reportedly freer shard).
 //
 // run_replay_serial and run_replay_sharded are bit-identical at any thread
 // count — the goldens tests/bench pin via ReplayResult::checksum().
@@ -34,8 +33,8 @@
 #include <vector>
 
 #include "batch/fairshare.h"
+#include "batch/policy.h"
 #include "batch/queue.h"
-#include "batch/scheduler.h"
 #include "batch/workload.h"
 #include "ckpt/pfs.h"
 #include "net/fabric.h"

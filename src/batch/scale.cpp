@@ -1,43 +1,20 @@
 #include "batch/scale.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
-#include "batch/allocator.h"
+#include "batch/federated.h"
 #include "batch/job.h"
-#include "cluster/partition.h"
-#include "sim/engine.h"
-#include "sim/sharded.h"
-#include "util/rng.h"
 #include "util/stats.h"
 
 namespace hpcs::batch {
 namespace {
 
-SimTime align_up(SimTime t, SimDuration q) { return (t + q - 1) / q * q; }
-
-net::FabricConfig effective_fabric(const ScaleConfig& config) {
-  net::FabricConfig fabric = config.fabric;
-  fabric.nodes = config.nodes;
-  return fabric;
-}
-
-/// Per-(job, node) noise draw in [0, 1): a stateless hash, so it costs no
-/// shared RNG state and is identical however the run is partitioned.
-double node_noise_u01(std::uint64_t seed, std::uint32_t job_id, int node) {
-  util::SplitMix64 h(seed ^
-                     (static_cast<std::uint64_t>(job_id) + 1) *
-                         0x9e3779b97f4a7c15ULL ^
-                     (static_cast<std::uint64_t>(node) + 1) *
-                         0xbf58476d1ce4e5b9ULL);
-  return static_cast<double>(h.next() >> 11) * 0x1.0p-53;
-}
+using federated::align_up;
 
 /// A job as it sits in (or moves between) shard queues.  The key
 /// (arrival, id) is globally unique, so queue inserts commute and FCFS
@@ -50,10 +27,12 @@ struct QueuedJob {
   std::int32_t forwards = 0;
   SimDuration base_runtime = 0;
 };
+// 100k-job arrival streams, the queues and every transfer carry it.
+static_assert(sizeof(QueuedJob) == 32);
 
 // --- checkpoint/fault mode ---------------------------------------------------
-// Active only when ScaleConfig::ckpt.enabled or the campaign is on; the
-// legacy dispatch->finish fast path is untouched otherwise.  The same
+// Active only when ScaleConfig::ckpt.enabled or the campaign is on;
+// otherwise a job is one dispatch->finish timer (see dispatch).  The same
 // determinism contract holds: every event handler only *buffers* its
 // payload into an ordered per-shard structure at a grid instant (inserts
 // keyed by globally-unique ids commute), and the coalesced pass at grid+1
@@ -118,84 +97,61 @@ struct RunningJob {
   Phase phase = Phase::kCompute;
 };
 
-/// How handlers schedule events: the only difference between the serial
-/// reference and the sharded run.
-class Driver {
- public:
-  virtual ~Driver() = default;
-  virtual void local(int shard, SimTime when, std::function<void()> fn) = 0;
-  virtual void remote(int src, int dst, SimTime when,
-                      std::function<void()> fn) = 0;
+/// The policy's own per-shard state; the core adds queue, allocator, gossip.
+struct ScaleShard {
+  // --- workflow mode -------------------------------------------------------
+  // Jobs homed here that still wait on dependencies: the unfinished-parent
+  // count, and the parked job itself.  Release messages decrement the
+  // count (decrements commute); the one that zeroes it queues the job.
+  std::map<std::uint32_t, int> wf_waiting;
+  std::map<std::uint32_t, QueuedJob> wf_held;
+  std::uint64_t dep_releases = 0;
+  std::uint64_t released_jobs = 0;
+  SimDuration dep_stall_ns = 0;  // release time - arrival, summed
+  // --- checkpoint/fault mode (use_segments_) -------------------------------
+  std::map<std::uint32_t, RunningJob> running;  // by job id
+  /// Local node -> ids of jobs running there.  Exclusive mode keeps the
+  /// set at one entry; shared-node mode is why it is a set — a failure
+  /// must charge EVERY co-located job, not just one owner.
+  std::map<int, std::set<std::uint32_t>> node_occupants;
+  // This-instant buffers, drained by the next pass in canonical order.
+  std::set<int> pending_failures;  // local node ids
+  std::set<std::tuple<std::uint32_t, std::uint32_t, int>>
+      pending_events;  // (job, seg, kind)
+  std::map<std::pair<std::uint32_t, std::uint32_t>, IoReply>
+      pending_replies;  // (job, seg)
+  std::size_t next_failure = 0;  // cursor into failures_[shard]
+  // Checkpoint/fault accounting (merged into ScaleResult::ckpt).
+  ScaleCkptStats ckpt;
+  SimDuration span_node_ns = 0;   // node-weighted dispatched->finish
+  SimDuration ideal_node_ns = 0;  // node-weighted noisy compute demand
+  SimDuration interval_sum_ns = 0;
+  std::uint64_t interval_jobs = 0;
 };
 
-class SerialDriver final : public Driver {
- public:
-  sim::Engine engine;
-  void local(int, SimTime when, std::function<void()> fn) override {
-    engine.schedule_at(when, std::move(fn));
-  }
-  void remote(int, int, SimTime when, std::function<void()> fn) override {
-    engine.schedule_at(when, std::move(fn));
-  }
-};
+class ScaleSim;
+using ScaleCore =
+    federated::FederatedCore<ScaleSim, QueuedJob, ScaleJobOutcome, ScaleShard>;
 
-class ShardedDriver final : public Driver {
- public:
-  ShardedDriver(int shards, SimDuration lookahead)
-      : engine(shards, lookahead) {}
-  sim::ShardedEngine engine;
-  void local(int shard, SimTime when, std::function<void()> fn) override {
-    engine.shard(shard).schedule_at(when, std::move(fn));
-  }
-  void remote(int src, int dst, SimTime when,
-              std::function<void()> fn) override {
-    engine.send(src, dst, when, std::move(fn));
-  }
-};
+class ScaleSim final : public ScaleCore {
+  friend ScaleCore;
 
-class ScaleSim {
  public:
-  ScaleSim(const ScaleConfig& config, Driver& driver)
-      : cfg_(config),
-        drv_(driver),
-        partition_(effective_fabric(config), config.shards),
-        xlat_(partition_.lookahead()),
+  ScaleSim(federated::Driver& driver, const ScaleConfig& config)
+      : ScaleCore(driver, config, "Scale",
+                  config.share.enabled ? config.share.slots_per_node : 1),
+        cfg_(config),
         pfs_(config.ckpt.pfs) {
-    if (cfg_.cycle < 2) {
-      throw std::invalid_argument(
-          "ScaleConfig: cycle must be >= 2ns (decisions run at cycle+1)");
+    // (The allocators already rejected slots_per_node < 1.)
+    if (cfg_.share.enabled && cfg_.share.contention < 0.0) {
+      throw std::invalid_argument("ScaleShareConfig: contention must be >= 0");
     }
-    if (cfg_.node_noise < 0.0) {
-      throw std::invalid_argument("ScaleConfig: node_noise must be >= 0");
-    }
-    if (cfg_.share.enabled &&
-        (cfg_.share.slots_per_node < 1 || cfg_.share.contention < 0.0)) {
-      throw std::invalid_argument(
-          "ScaleShareConfig: slots_per_node must be >= 1, contention >= 0");
-    }
-    slots_per_node_ = cfg_.share.enabled ? cfg_.share.slots_per_node : 1;
     campaign_ = cfg_.campaign;
     campaign_.nodes = cfg_.nodes;
     use_segments_ = cfg_.ckpt.enabled || campaign_.enabled();
     if (use_segments_ && cfg_.ckpt.downtime < cfg_.cycle) {
       throw std::invalid_argument(
           "ScaleCkptConfig: downtime must be >= one scheduler cycle");
-    }
-    shards_.resize(static_cast<std::size_t>(cfg_.shards));
-    for (int s = 0; s < cfg_.shards; ++s) {
-      ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-      sh.base_node = partition_.first_node(s);
-      sh.alloc = std::make_unique<NodeAllocator>(
-          partition_.node_count(s), cfg_.allocator_block,
-          AllocPolicy::kBestFit, slots_per_node_);
-      // All capacity bookkeeping (gossip, forwarding) is in slots; with
-      // slots_per_node == 1 a slot IS a node and nothing changes.
-      sh.known_free.resize(static_cast<std::size_t>(cfg_.shards));
-      for (int k = 0; k < cfg_.shards; ++k) {
-        sh.known_free[static_cast<std::size_t>(k)] =
-            partition_.node_count(k) * slots_per_node_;
-      }
-      sh.advertised_free = partition_.node_count(s) * slots_per_node_;
     }
     // After the shard structures exist: workflow mode parks held jobs
     // directly on their home shard.
@@ -213,49 +169,6 @@ class ScaleSim {
   ScaleResult collect() const;
 
  private:
-  struct ShardSched {
-    int base_node = 0;
-    std::unique_ptr<NodeAllocator> alloc;  // shard-local node ids
-    std::map<std::pair<SimTime, std::uint32_t>, QueuedJob> queue;
-    std::vector<int> known_free;  // last gossiped free count per shard
-    int advertised_free = -1;     // what we last broadcast
-    bool pass_pending = false;
-    std::size_t next_arrival = 0;  // cursor into arrivals_[shard]
-    // Results, merged after the run.
-    std::vector<std::pair<std::uint32_t, ScaleJobOutcome>> done;
-    std::uint64_t forwards = 0;
-    std::uint64_t gossip_received = 0;
-    SimDuration busy_node_ns = 0;
-    // --- workflow mode -----------------------------------------------------
-    // Jobs homed here that still wait on dependencies: the unfinished-parent
-    // count, and the parked job itself.  Release messages decrement the
-    // count (decrements commute); the one that zeroes it queues the job.
-    std::map<std::uint32_t, int> wf_waiting;
-    std::map<std::uint32_t, QueuedJob> wf_held;
-    std::uint64_t dep_releases = 0;
-    std::uint64_t released_jobs = 0;
-    SimDuration dep_stall_ns = 0;  // release time - arrival, summed
-    // --- checkpoint/fault mode (use_segments_) -----------------------------
-    std::map<std::uint32_t, RunningJob> running;  // by job id
-    /// Local node -> ids of jobs running there.  Exclusive mode keeps the
-    /// set at one entry; shared-node mode is why it is a set — a failure
-    /// must charge EVERY co-located job, not just one owner.
-    std::map<int, std::set<std::uint32_t>> node_occupants;
-    // This-instant buffers, drained by the next pass in canonical order.
-    std::set<int> pending_failures;  // local node ids
-    std::set<std::tuple<std::uint32_t, std::uint32_t, int>>
-        pending_events;  // (job, seg, kind)
-    std::map<std::pair<std::uint32_t, std::uint32_t>, IoReply>
-        pending_replies;  // (job, seg)
-    std::size_t next_failure = 0;  // cursor into failures_[shard]
-    // Checkpoint/fault accounting (merged into ScaleResult::ckpt).
-    ScaleCkptStats ckpt;
-    SimDuration span_node_ns = 0;   // node-weighted dispatched->finish
-    SimDuration ideal_node_ns = 0;  // node-weighted noisy compute demand
-    SimDuration interval_sum_ns = 0;
-    std::uint64_t interval_jobs = 0;
-  };
-
   void build_workload() {
     if (cfg_.wf.enabled) {
       build_workflows();
@@ -269,7 +182,6 @@ class ScaleSim {
     const std::vector<JobSpec> specs =
         generate_arrivals(arrivals, cfg_.seed);
     total_jobs_ = specs.size();
-    arrivals_.resize(static_cast<std::size_t>(cfg_.shards));
     for (const JobSpec& spec : specs) {
       QueuedJob job;
       job.arrival = align_up(spec.arrival, cfg_.cycle);
@@ -277,17 +189,9 @@ class ScaleSim {
       job.nodes = spec.nodes;
       job.home_shard = static_cast<std::int32_t>(job.id) % cfg_.shards;
       job.base_runtime = ideal_runtime(spec);
-      arrivals_[static_cast<std::size_t>(job.home_shard)].push_back(job);
+      add_arrival(job);
     }
-    // Per-shard arrival streams in (arrival, id) order for the chained
-    // arrival events.
-    for (auto& stream : arrivals_) {
-      std::sort(stream.begin(), stream.end(),
-                [](const QueuedJob& a, const QueuedJob& b) {
-                  if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                  return a.id < b.id;
-                });
-    }
+    sort_arrivals();
   }
 
   void build_workflows() {
@@ -299,7 +203,6 @@ class ScaleSim {
     // Every task must fit the smallest shard (same rule as the arrival
     // stream's max_nodes clamp).
     gen.max_nodes = std::min(gen.max_nodes, partition_.min_shard_nodes());
-    arrivals_.resize(static_cast<std::size_t>(cfg_.shards));
     int next_id = 1;
     for (int w = 0; w < cfg_.wf.instances; ++w) {
       gen.first_id = next_id;
@@ -321,9 +224,9 @@ class ScaleSim {
         for (const int dep : task.deps) {
           wf_dependents_[static_cast<std::uint32_t>(dep)].push_back(job.id);
         }
-        ShardSched& home = shards_[static_cast<std::size_t>(job.home_shard)];
+        Shard& home = shard(job.home_shard);
         if (task.deps.empty()) {
-          arrivals_[static_cast<std::size_t>(job.home_shard)].push_back(job);
+          add_arrival(job);
         } else {
           home.wf_waiting.emplace(job.id, static_cast<int>(task.deps.size()));
           home.wf_held.emplace(job.id, job);
@@ -331,13 +234,7 @@ class ScaleSim {
       }
     }
     total_jobs_ = static_cast<std::size_t>(next_id - 1);
-    for (auto& stream : arrivals_) {
-      std::sort(stream.begin(), stream.end(),
-                [](const QueuedJob& a, const QueuedJob& b) {
-                  if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                  return a.id < b.id;
-                });
-    }
+    sort_arrivals();
   }
 
   void build_campaign() {
@@ -359,36 +256,16 @@ class ScaleSim {
   // Mutations (arrival, transfer, finish, gossip) land on grid instants and
   // commute; the pass at grid+1 sees the complete instant state.
 
-  void schedule_next_arrival(int s) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    const auto& stream = arrivals_[static_cast<std::size_t>(s)];
-    if (sh.next_arrival >= stream.size()) return;
-    const SimTime at = stream[sh.next_arrival].arrival;
-    drv_.local(s, at, [this, s, at] { on_arrival_batch(s, at); });
-  }
-
-  void on_arrival_batch(int s, SimTime at) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    const auto& stream = arrivals_[static_cast<std::size_t>(s)];
-    while (sh.next_arrival < stream.size() &&
-           stream[sh.next_arrival].arrival == at) {
-      const QueuedJob& job = stream[sh.next_arrival++];
-      sh.queue.emplace(std::make_pair(job.arrival, job.id), job);
-    }
-    schedule_next_arrival(s);
-    request_pass(s, at);
-  }
-
   void schedule_next_failure(int s) {
     const auto& stream = failures_[static_cast<std::size_t>(s)];
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    const Shard& sh = shard(s);
     if (sh.next_failure >= stream.size()) return;
     const SimTime at = stream[sh.next_failure].first;
     drv_.local(s, at, [this, s, at] { on_failure_batch(s, at); });
   }
 
   void on_failure_batch(int s, SimTime at) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    Shard& sh = shard(s);
     const auto& stream = failures_[static_cast<std::size_t>(s)];
     while (sh.next_failure < stream.size() &&
            stream[sh.next_failure].first == at) {
@@ -398,17 +275,8 @@ class ScaleSim {
     request_pass(s, at);
   }
 
-  void request_pass(int s, SimTime grid_now) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    if (sh.pass_pending) return;
-    sh.pass_pending = true;
-    const SimTime at = grid_now + 1;
-    drv_.local(s, at, [this, s, at] { do_pass(s, at); });
-  }
-
-  void do_pass(int s, SimTime t) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    sh.pass_pending = false;
+  void pass(int s, SimTime t) {
+    Shard& sh = shard(s);
     if (use_segments_) {
       // Fixed phase order, canonical within each phase: failures first (so
       // same-instant replies/events for a just-failed segment go stale),
@@ -420,73 +288,29 @@ class ScaleSim {
     }
     while (!sh.queue.empty()) {
       const auto head = sh.queue.begin();
-      QueuedJob job = head->second;
-      if (job.nodes <= free_capacity(sh)) {
+      if (head->second.nodes <= sh.alloc->free_slots()) {
+        const QueuedJob job = head->second;
         sh.queue.erase(head);
         dispatch(s, t, job);
         continue;
       }
       // Strict FCFS locally, but a blocked head may migrate to the shard
       // with the best (gossip-known) free capacity.
-      const int target = pick_target(s, job.nodes);
-      if (job.forwards >= cfg_.max_forwards || target < 0) break;
-      sh.queue.erase(head);
-      forward(s, target, t, job);
+      if (!try_forward(s, t, head)) break;
     }
-    const int free_now = free_capacity(sh);
-    if (free_now != sh.advertised_free) {
-      sh.advertised_free = free_now;
-      broadcast_free(s, t, free_now);
-    }
-  }
-
-  /// Schedulable capacity of a shard, in the workload's units: nodes when
-  /// exclusive, slots when shared.
-  int free_capacity(const ShardSched& sh) const {
-    return cfg_.share.enabled ? sh.alloc->free_slots()
-                              : sh.alloc->free_count();
-  }
-
-  void release_capacity(ShardSched& sh, const std::vector<int>& alloc) {
-    if (cfg_.share.enabled) {
-      sh.alloc->release_slots(alloc);
-    } else {
-      sh.alloc->release(alloc);
-    }
-  }
-
-  int pick_target(int s, int need) const {
-    const ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    int best = -1;
-    int best_free = 0;
-    for (int k = 0; k < cfg_.shards; ++k) {
-      if (k == s) continue;
-      const int free = sh.known_free[static_cast<std::size_t>(k)];
-      if (free >= need && free > best_free) {
-        best = k;
-        best_free = free;
-      }
-    }
-    return best;
   }
 
   void dispatch(int s, SimTime t, const QueuedJob& job) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    auto nodes = cfg_.share.enabled ? sh.alloc->allocate_slots(job.nodes)
-                                    : sh.alloc->allocate(job.nodes);
+    Shard& sh = shard(s);
+    auto nodes = sh.alloc->allocate_slots(job.nodes);
     // free capacity >= request was checked; the allocator gathers fragments.
     if (!nodes) {
       throw std::logic_error("ScaleSim: allocation unexpectedly failed");
     }
     // The job runs at the speed of its unluckiest node (noise resonance):
-    // stretch the ideal runtime by the worst per-(job, node) draw.  (In
-    // shared mode the slot list repeats node ids; max over repeats is free.)
-    double worst = 0.0;
-    for (const int local : *nodes) {
-      worst = std::max(
-          worst, node_noise_u01(cfg_.seed, job.id, sh.base_node + local));
-    }
-    double stretch = 1.0 + cfg_.node_noise * worst;
+    // stretch the ideal runtime by the worst per-(job, node) draw.
+    double stretch =
+        1.0 + cfg_.node_noise * worst_noise(sh, job.id, *nodes);
     if (cfg_.share.enabled) {
       // Co-located jobs time-share the node: pay for the most crowded node
       // in the allocation, occupancy sampled right after placement (the
@@ -519,29 +343,34 @@ class ScaleSim {
       start_segment(s, t, it->second);
       return;
     }
+    // Without checkpoints or faults a job is one dispatch->finish timer, not
+    // a one-segment run (DESIGN.md §10 says why).
     const SimTime finish = align_up(t + runtime, cfg_.cycle);
     drv_.local(s, finish,
                [this, s, finish, job, start = t, alloc = std::move(*nodes)] {
-                 on_finish(s, finish, job, start, alloc);
+                 retire(s, job, start, finish, finish, alloc);
+                 request_pass(s, finish);
                });
   }
 
-  void on_finish(int s, SimTime t, const QueuedJob& job, SimTime start,
-                 const std::vector<int>& nodes) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    release_capacity(sh, nodes);
-    sh.busy_node_ns +=
-        static_cast<SimDuration>(nodes.size()) * (t - start);
+  /// The job is done at `stamp`: slots back, outcome recorded, dependents
+  /// told.  `t` is the current event time (a pass may retire a job whose
+  /// compute ended earlier in the window).
+  void retire(int s, const QueuedJob& job, SimTime start, SimTime stamp,
+              SimTime t, const std::vector<int>& slots) {
+    Shard& sh = shard(s);
+    sh.alloc->release_slots(slots);
+    sh.busy_node_ns += static_cast<SimDuration>(slots.size()) *
+                       (stamp > start ? stamp - start : 0);
     ScaleJobOutcome outcome;
     outcome.arrival = job.arrival;
     outcome.start = start;
-    outcome.finish = t;
+    outcome.finish = stamp;
     outcome.home_shard = job.home_shard;
     outcome.ran_shard = s;
     outcome.forwards = job.forwards;
     sh.done.emplace_back(job.id, outcome);
-    notify_dependents(s, t, t, job.id);
-    request_pass(s, t);
+    notify_dependents(s, stamp, t, job.id);
   }
 
   /// Workflow mode: message every dependent's home shard that one parent is
@@ -553,7 +382,7 @@ class ScaleSim {
     if (!cfg_.wf.enabled) return;
     const auto it = wf_dependents_.find(job_id);
     if (it == wf_dependents_.end()) return;
-    const SimTime when = align_up(std::max(stamp, t) + xlat_, cfg_.cycle);
+    const SimTime when = landing(std::max(stamp, t));
     for (const std::uint32_t dep : it->second) {
       const int dst = static_cast<int>(dep) % cfg_.shards;
       drv_.remote(s, dst, when,
@@ -562,7 +391,7 @@ class ScaleSim {
   }
 
   void on_dep_release(int s, SimTime t, std::uint32_t job_id) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    Shard& sh = shard(s);
     ++sh.dep_releases;
     const auto waiting = sh.wf_waiting.find(job_id);
     if (waiting == sh.wf_waiting.end()) {
@@ -575,43 +404,8 @@ class ScaleSim {
     sh.wf_held.erase(held);
     sh.dep_stall_ns += t > job.arrival ? t - job.arrival : 0;
     ++sh.released_jobs;
-    sh.queue.emplace(std::make_pair(job.arrival, job.id), job);
+    enqueue(sh, job);
     request_pass(s, t);
-  }
-
-  void forward(int src, int dst, SimTime t, QueuedJob job) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(src)];
-    ++sh.forwards;
-    // Debit our estimate so one pass does not herd every blocked job at the
-    // same target; the next gossip from `dst` restores the truth.
-    sh.known_free[static_cast<std::size_t>(dst)] -= job.nodes;
-    ++job.forwards;
-    const SimTime when = align_up(t + xlat_, cfg_.cycle);
-    drv_.remote(src, dst, when,
-                [this, dst, when, job] { on_transfer(dst, when, job); });
-  }
-
-  void on_transfer(int s, SimTime t, const QueuedJob& job) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    sh.queue.emplace(std::make_pair(job.arrival, job.id), job);
-    request_pass(s, t);
-  }
-
-  void broadcast_free(int s, SimTime t, int free) {
-    const SimTime when = align_up(t + xlat_, cfg_.cycle);
-    for (int k = 0; k < cfg_.shards; ++k) {
-      if (k == s) continue;
-      drv_.remote(s, k, when,
-                  [this, k, when, s, free] { on_gossip(k, when, s, free); });
-    }
-  }
-
-  void on_gossip(int s, SimTime t, int from, int free) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    ++sh.gossip_received;
-    sh.known_free[static_cast<std::size_t>(from)] = free;
-    // A blocked queue may now have somewhere to go.
-    if (!sh.queue.empty()) request_pass(s, t);
   }
 
   // --- checkpoint/fault handlers (pass context, t = grid + 1) ----------------
@@ -652,14 +446,18 @@ class ScaleSim {
   void schedule_seg_event(int s, SimTime when, std::uint32_t job_id,
                           std::uint32_t seg, int kind) {
     drv_.local(s, when, [this, s, when, job_id, seg, kind] {
-      shards_[static_cast<std::size_t>(s)].pending_events.emplace(job_id, seg,
-                                                                  kind);
+      shard(s).pending_events.emplace(job_id, seg, kind);
       request_pass(s, when);
     });
   }
 
-  void send_io(int s, SimTime t, std::uint32_t job_id, IoRequest req) {
-    const SimTime when = align_up(t + xlat_, cfg_.cycle);
+  /// Ask the PFS (on kIoShard) to serve `kind` for the job's current
+  /// segment.
+  void send_io(int s, SimTime t, const RunningJob& rj, int kind,
+               SimTime earliest = 0) {
+    const IoRequest req{kind, rj.seg, s, bytes_for(rj), earliest};
+    const std::uint32_t job_id = rj.job.id;
+    const SimTime when = landing(t);
     drv_.remote(s, kIoShard, when, [this, job_id, req, when] {
       pending_io_.emplace(std::make_pair(job_id, req.seg), req);
       request_pass(kIoShard, when);
@@ -669,7 +467,7 @@ class ScaleSim {
   /// Graceful degradation: a slot slipping far past the asked-for time
   /// means the PFS is saturated — back off the interval instead of letting
   /// every checkpoint stall the schedule.
-  void maybe_stretch(ShardSched& sh, RunningJob& rj, SimDuration slip) {
+  void maybe_stretch(Shard& sh, RunningJob& rj, SimDuration slip) {
     if (rj.base_interval == 0) return;
     if (static_cast<double>(slip) <=
         cfg_.ckpt.stretch_threshold * static_cast<double>(rj.interval)) {
@@ -695,13 +493,7 @@ class ScaleSim {
     const SimDuration left = rj.work_total - rj.done;
     if (rj.interval > 0 && left > rj.interval) {
       if (cfg_.ckpt.coordinator == ckpt::CoordPolicy::kCooperative) {
-        IoRequest req;
-        req.kind = kIoReserve;
-        req.seg = rj.seg;
-        req.src_shard = s;
-        req.bytes = bytes_for(rj);
-        req.earliest = grid + rj.interval;
-        send_io(s, t, rj.job.id, req);
+        send_io(s, t, rj, kIoReserve, grid + rj.interval);
       } else {
         rj.seg_work = rj.interval;
         schedule_seg_event(s, next_event_time(grid + rj.interval, t),
@@ -713,14 +505,12 @@ class ScaleSim {
                        kFinish);
   }
 
-  /// The job is done: release its nodes and record the outcome, exactly as
-  /// the legacy on_finish does, plus the waste bookkeeping.  `t` is the
-  /// pass time, needed to schedule dependency releases in the future.
+  /// A segmented job is done: retire it, plus the waste bookkeeping.  `t`
+  /// is the pass time, needed to schedule dependency releases in the future.
   void complete_job(int s, SimTime stamp, SimTime t, std::uint32_t job_id) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    Shard& sh = shard(s);
     auto it = sh.running.find(job_id);
     RunningJob& rj = it->second;
-    release_capacity(sh, rj.alloc);
     for (const int local : rj.alloc) {
       auto occ = sh.node_occupants.find(local);
       if (occ == sh.node_occupants.end()) continue;  // repeated slot entry
@@ -729,26 +519,16 @@ class ScaleSim {
     }
     const SimDuration span = stamp > rj.start ? stamp - rj.start : 0;
     const auto width = static_cast<SimDuration>(rj.alloc.size());
-    sh.busy_node_ns += width * span;
     sh.span_node_ns += width * span;
     sh.ideal_node_ns += width * std::min(rj.work_total, span);
-    ScaleJobOutcome outcome;
-    outcome.arrival = rj.job.arrival;
-    outcome.start = rj.start;
-    outcome.finish = stamp;
-    outcome.home_shard = rj.job.home_shard;
-    outcome.ran_shard = s;
-    outcome.forwards = rj.job.forwards;
-    sh.done.emplace_back(job_id, outcome);
-    const std::uint32_t id = rj.job.id;
+    retire(s, rj.job, rj.start, stamp, t, rj.alloc);
     sh.running.erase(it);
-    notify_dependents(s, stamp, t, id);
     // The pass's dispatch loop runs right after this and sees the freed
     // nodes; no extra pass request is needed.
   }
 
   void process_failures(int s, SimTime t) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    Shard& sh = shard(s);
     if (sh.pending_failures.empty()) return;
     const SimTime grid = t - 1;
     const auto failed = std::move(sh.pending_failures);
@@ -785,7 +565,7 @@ class ScaleSim {
   }
 
   void process_replies(int s, SimTime t) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    Shard& sh = shard(s);
     if (sh.pending_replies.empty()) return;
     const SimTime grid = t - 1;
     const auto replies = std::move(sh.pending_replies);
@@ -840,7 +620,7 @@ class ScaleSim {
   }
 
   void process_events(int s, SimTime t) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
+    Shard& sh = shard(s);
     if (sh.pending_events.empty()) return;
     const SimTime grid = t - 1;
     const auto events = std::move(sh.pending_events);
@@ -859,12 +639,7 @@ class ScaleSim {
           if (rj.phase != Phase::kCompute) break;
           rj.phase = Phase::kStalled;
           rj.stall_from = grid;
-          IoRequest req;
-          req.kind = kIoWrite;
-          req.seg = rj.seg;
-          req.src_shard = s;
-          req.bytes = bytes_for(rj);
-          send_io(s, t, job_id, req);
+          send_io(s, t, rj, kIoWrite);
           break;
         }
         case kWriteBegin: {  // cooperative: slot open, stop computing
@@ -894,12 +669,7 @@ class ScaleSim {
           if (rj.phase != Phase::kDown) break;
           if (rj.done > 0) {
             rj.phase = Phase::kRestarting;
-            IoRequest req;
-            req.kind = kIoRead;
-            req.seg = rj.seg;
-            req.src_shard = s;
-            req.bytes = bytes_for(rj);
-            send_io(s, t, job_id, req);
+            send_io(s, t, rj, kIoRead);
           } else {
             // Nothing checkpointed yet: restart from scratch directly.
             sh.ckpt.restart_stall_ns +=
@@ -933,7 +703,7 @@ class ScaleSim {
       // Reservations answer immediately (the slot may be far out); reads
       // and blocking writes answer when the transfer completes.
       const SimTime base = req.kind == kIoReserve ? grid : grant.end;
-      const SimTime when = align_up(std::max(base, t) + xlat_, cfg_.cycle);
+      const SimTime when = landing(std::max(base, t));
       IoReply rep;
       rep.kind = req.kind;
       rep.seg = req.seg;
@@ -941,20 +711,14 @@ class ScaleSim {
       rep.slot_end = grant.end;
       const int dst = req.src_shard;
       drv_.remote(kIoShard, dst, when, [this, dst, job_id, rep, when] {
-        shards_[static_cast<std::size_t>(dst)].pending_replies.emplace(
-            std::make_pair(job_id, rep.seg), rep);
+        shard(dst).pending_replies.emplace(std::make_pair(job_id, rep.seg),
+                                           rep);
         request_pass(dst, when);
       });
     }
   }
 
   ScaleConfig cfg_;
-  Driver& drv_;
-  cluster::ShardPartition partition_;
-  SimDuration xlat_;  // cross-shard latency == conservative lookahead
-  std::size_t total_jobs_ = 0;
-  std::vector<std::vector<QueuedJob>> arrivals_;  // per home shard, sorted
-  std::vector<ShardSched> shards_;
 
   // --- checkpoint/fault state ------------------------------------------------
   /// The shard that owns the PFS model: all PfsModel mutation happens inside
@@ -962,10 +726,8 @@ class ScaleSim {
   static constexpr int kIoShard = 0;
   /// True when either checkpointing or a fault campaign is on: jobs then run
   /// as segments driven by the event handlers above instead of one
-  /// dispatch->finish timer (the legacy path, kept bit-identical when off).
+  /// dispatch->finish timer.
   bool use_segments_ = false;
-  /// 1 unless shared-node mode is on (then cfg_.share.slots_per_node).
-  int slots_per_node_ = 1;
   fault::CampaignConfig campaign_;  // cfg_.campaign with nodes overridden
   ckpt::PfsModel pfs_;
   /// Per shard: the campaign's failures mapped to (grid-aligned time, local
@@ -985,20 +747,14 @@ class ScaleSim {
 ScaleResult ScaleSim::collect() const {
   ScaleResult result;
   result.jobs.resize(total_jobs_);
-  std::vector<bool> seen(total_jobs_, false);
-  SimTime first_arrival = kNoPromise;
-  SimTime last_finish = 0;
-  SimDuration busy_total = 0;
+  merge(result, std::vector<bool>(total_jobs_, false));
   SimDuration span_total = 0;
   SimDuration ideal_total = 0;
   SimDuration interval_sum = 0;
   std::uint64_t interval_jobs = 0;
   SimDuration dep_stall_total = 0;
   std::uint64_t released_total = 0;
-  for (const ShardSched& sh : shards_) {
-    result.forwards += sh.forwards;
-    result.gossip_messages += sh.gossip_received;
-    busy_total += sh.busy_node_ns;
+  for (const Shard& sh : shards_) {
     result.dep_releases += sh.dep_releases;
     dep_stall_total += sh.dep_stall_ns;
     released_total += sh.released_jobs;
@@ -1016,25 +772,7 @@ ScaleResult ScaleSim::collect() const {
     ideal_total += sh.ideal_node_ns;
     interval_sum += sh.interval_sum_ns;
     interval_jobs += sh.interval_jobs;
-    for (const auto& [id, outcome] : sh.done) {
-      const std::size_t ix = static_cast<std::size_t>(id) - 1;  // 1-based ids
-      if (ix >= total_jobs_ || seen[ix]) {
-        throw std::logic_error("ScaleSim: duplicate or out-of-range job id");
-      }
-      seen[ix] = true;
-      result.jobs[ix] = outcome;
-      first_arrival = std::min(first_arrival, outcome.arrival);
-      last_finish = std::max(last_finish, outcome.finish);
-    }
   }
-  for (std::size_t i = 0; i < total_jobs_; ++i) {
-    if (!seen[i]) {
-      throw std::logic_error("ScaleSim: job " + std::to_string(i + 1) +
-                             " never finished (scenario did not drain)");
-    }
-  }
-  result.makespan =
-      total_jobs_ == 0 ? 0 : last_finish - first_arrival;
   util::Samples waits;
   util::OnlineStats slowdowns;
   result.wait_hist = util::Histogram(0.0, cfg_.wait_hist_max_s, 40);
@@ -1050,15 +788,6 @@ ScaleResult ScaleSim::collect() const {
     result.mean_wait_s = waits.mean();
     result.p95_wait_s = waits.percentile(95.0);
     result.mean_slowdown = slowdowns.mean();
-  }
-  if (result.makespan > 0) {
-    // Capacity is slot-time: nodes x slots_per_node (slots == nodes when
-    // exclusive), matching the slot-granular busy accounting.
-    result.utilization =
-        static_cast<double>(busy_total) /
-        (static_cast<double>(partition_.num_nodes()) *
-         static_cast<double>(slots_per_node_) *
-         static_cast<double>(result.makespan));
   }
   if (use_segments_) {
     if (span_total > 0) {
@@ -1104,53 +833,27 @@ ScaleResult ScaleSim::collect() const {
 }  // namespace
 
 std::uint64_t ScaleResult::checksum() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  const auto fold = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  std::uint64_t h = federated::kFnvBasis;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const ScaleJobOutcome& job = jobs[i];
-    fold(i);
-    fold(job.arrival);
-    fold(job.start);
-    fold(job.finish);
-    fold(static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(job.home_shard)));
-    fold(static_cast<std::uint64_t>(static_cast<std::uint32_t>(job.ran_shard)));
-    fold(static_cast<std::uint64_t>(static_cast<std::uint32_t>(job.forwards)));
+    h = federated::fnv1a(h, {i, job.arrival, job.start, job.finish,
+                             static_cast<std::uint32_t>(job.home_shard),
+                             static_cast<std::uint32_t>(job.ran_shard),
+                             static_cast<std::uint32_t>(job.forwards)});
   }
   return h;
 }
 
 SimDuration scale_lookahead(const ScaleConfig& config) {
-  return cluster::ShardPartition(effective_fabric(config), config.shards)
-      .lookahead();
+  return federated::partition(config).lookahead();
 }
 
 ScaleResult run_scale_serial(const ScaleConfig& config) {
-  SerialDriver driver;
-  ScaleSim sim(config, driver);
-  sim.seed_events();
-  driver.engine.run();
-  ScaleResult result = sim.collect();
-  result.events = driver.engine.dispatched();
-  result.rounds = 0;
-  return result;
+  return federated::run_serial<ScaleSim>(config);
 }
 
 ScaleResult run_scale_sharded(const ScaleConfig& config, int threads) {
-  ShardedDriver driver(config.shards, scale_lookahead(config));
-  ScaleSim sim(config, driver);
-  sim.seed_events();
-  driver.engine.run(threads);
-  ScaleResult result = sim.collect();
-  result.events = driver.engine.stats().dispatched;
-  result.rounds = driver.engine.stats().rounds;
-  result.inline_rounds = driver.engine.stats().inline_rounds;
-  return result;
+  return federated::run_sharded<ScaleSim>(threads, config);
 }
 
 }  // namespace hpcs::batch

@@ -23,14 +23,10 @@
 //     node", at per-job cost proportional to the allocation size.
 //
 // Determinism contract (golden-pinned serial vs sharded, any thread count):
-// all state mutations land on multiples of `cycle` (the scheduler-cycle
-// quantum; real workload managers batch decisions the same way) and are
-// commutative — queue inserts keyed by globally-unique (arrival, id),
-// allocator releases, per-source gossip slots.  Decisions run in a
-// coalesced pass at cycle+1ns, strictly after every same-instant mutation,
-// so they see identical state no matter how serial and sharded runs
-// interleave the mutations.  Cross-shard delays are the fabric's cross-leaf
-// latency rounded up to the grid, always >= the partition lookahead.
+// the federated core's (batch/federated.h, shared with batch/replay.h) —
+// commuting mutations on multiples of `cycle` (real workload managers
+// batch decisions the same way), decisions in a coalesced pass at
+// cycle+1ns, cross-shard delays >= the partition lookahead.
 #pragma once
 
 #include <cstdint>
@@ -134,8 +130,7 @@ struct ScaleWorkflowConfig {
 /// Runtime pays for the company: on top of the per-node noise stretch, a
 /// dispatched job is slowed by 1 + contention x (max co-occupancy - 1)
 /// sampled over its nodes at dispatch, the same "speed of the unluckiest
-/// node" shape as noise.  Off by default; the legacy exclusive-node path
-/// and its golden checksums are untouched.
+/// node" shape as noise.  Off by default: one exclusive slot per node.
 struct ScaleShareConfig {
   bool enabled = false;
   /// Job slots per node (>= 1; 1 shares nothing but still exercises the
@@ -171,15 +166,15 @@ struct ScaleConfig {
   int allocator_block = 4;
   /// Range of the wait-time histogram, in seconds.
   double wait_hist_max_s = 60.0;
-  /// Checkpoint/restart model (off by default: the legacy event path runs
-  /// bit-identically to pre-checkpoint builds).
+  /// Checkpoint/restart model (off by default: each job is then one
+  /// dispatch -> finish timer).
   ScaleCkptConfig ckpt;
   /// Node-failure campaign (off by default).  `nodes` is overridden to the
   /// cluster's; failures on allocated nodes knock the owning job back to
   /// its last committed checkpoint.
   fault::CampaignConfig campaign;
-  /// DAG-workflow workload (off by default: the legacy arrival stream and
-  /// its golden checksums are untouched).
+  /// DAG-workflow workload (off by default: independent arrivals from
+  /// `arrivals`).
   ScaleWorkflowConfig wf;
   /// Shared-node packing (off by default, see ScaleShareConfig).
   ScaleShareConfig share;

@@ -179,49 +179,34 @@ void BatchScheduler::request_pass() {
   });
 }
 
-std::pair<SimTime, int> BatchScheduler::reservation_for(int need,
-                                                        SimDuration est) const {
+EasyReservation BatchScheduler::reservation_for(std::size_t record) const {
   const SimTime now = cluster_.engine().now();
-  // A candidate instant must both have the nodes free and clear the
-  // advance-reservation admission control a dispatch there would face, or
-  // EASY would promise starts it cannot deliver (reservation violations).
-  const auto admits = [&](SimTime at, int avail) {
-    return avail >= need &&
-           (config_.reservations.empty() ||
-            admits_reservations(config_.reservations, at, est, avail - need));
-  };
-  int avail = allocator_.free_count();
-  if (admits(now, avail)) return {now, avail};
-  // Sweep the expected free-node count forward: running jobs return their
-  // nodes at their estimated ends; an upcoming reservation window dips the
-  // pool while it is open.  All deltas at one instant apply together, so
-  // jobs ending exactly at the promise still add backfill headroom.
-  std::vector<std::pair<SimTime, int>> events;
-  events.reserve(running_.size() + 2 * config_.reservations.size());
+  // Running jobs return their nodes at their estimated ends; an upcoming
+  // reservation window dips the pool while it is open.
+  std::vector<std::pair<SimTime, int>> changes;
+  changes.reserve(running_.size() + 2 * config_.reservations.size());
   for (const Running& r : running_) {
-    events.emplace_back(std::max(r.est_end, now),
-                        static_cast<int>(records_[r.record].nodes.size()));
+    changes.emplace_back(r.est_end,
+                         static_cast<int>(records_[r.record].nodes.size()));
   }
   for (std::size_t i = 0; i < config_.reservations.size(); ++i) {
     const Reservation& r = config_.reservations[i];
     if (r.end <= now) continue;
     if (r.start <= now) {
       // Already open: its held nodes come back when the window closes.
-      events.emplace_back(r.end, static_cast<int>(resv_holds_[i].size()));
+      changes.emplace_back(r.end, static_cast<int>(resv_holds_[i].size()));
     } else {
-      events.emplace_back(r.start, -r.nodes);
-      events.emplace_back(r.end, r.nodes);
+      changes.emplace_back(r.start, -r.nodes);
+      changes.emplace_back(r.end, r.nodes);
     }
   }
-  std::sort(events.begin(), events.end());
-  for (std::size_t i = 0; i < events.size();) {
-    const SimTime t = events[i].first;
-    for (; i < events.size() && events[i].first == t; ++i) {
-      avail += events[i].second;
-    }
-    if (admits(t, avail)) return {t, avail};
-  }
-  return {kNoPromise, 0};
+  // The promise must also clear the advance-reservation admission control
+  // a dispatch then would face, or EASY would promise starts it cannot
+  // deliver (reservation violations).
+  const JobSpec& spec = records_[record].spec;
+  return easy_reservation(now, spec.nodes, spec.estimate,
+                          allocator_.free_count(), std::move(changes),
+                          config_.reservations);
 }
 
 void BatchScheduler::reservation_open(std::size_t index) {
@@ -245,12 +230,13 @@ void BatchScheduler::reservation_close(std::size_t index) {
   request_pass();
 }
 
-bool BatchScheduler::multi_queue_active() const {
-  if (config_.fairshare.enabled || queues_.size() > 1) return true;
-  for (const QueueConfig& q : queues_) {
-    if (q.priority != 0) return true;
+bool BatchScheduler::queue_sorted() const {
+  if (config_.policy == BatchPolicy::kSjf ||
+      config_.policy == BatchPolicy::kEasyCp) {
+    return true;
   }
-  return false;
+  return config_.fairshare.enabled || queues_.size() > 1 ||
+         queues_.front().priority != 0;
 }
 
 void BatchScheduler::order_queue() {
@@ -293,46 +279,13 @@ void BatchScheduler::order_queue() {
 }
 
 void BatchScheduler::schedule_pass() {
-  if (multi_queue_active()) {
+  if (queue_sorted() && !queue_.empty()) {
     // The PBS-style policy cycle: queue priority first, then the owner's
-    // decayed fairshare usage, then the base policy's key.  The legacy
-    // single-queue sorts below stay bit-for-bit untouched otherwise.
-    if (config_.policy == BatchPolicy::kEasyCp && !queue_.empty()) {
-      ensure_dag();
-    }
-    if (!queue_.empty()) order_queue();
-  } else if (config_.policy == BatchPolicy::kSjf) {
-    // Tie-break chain (estimate, arrival, id) is total and depends only on
-    // the specs, never on submit order or container layout.
-    std::stable_sort(queue_.begin(), queue_.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       const JobSpec& ja = records_[a].spec;
-                       const JobSpec& jb = records_[b].spec;
-                       if (ja.estimate != jb.estimate) {
-                         return ja.estimate < jb.estimate;
-                       }
-                       if (ja.arrival != jb.arrival) {
-                         return ja.arrival < jb.arrival;
-                       }
-                       return ja.id < jb.id;
-                     });
-  } else if (config_.policy == BatchPolicy::kEasyCp && !queue_.empty()) {
-    ensure_dag();
-    // Critical-path priority: the reservation must go to the ready job
-    // gating the heaviest unfinished subtree.  Same total tie-break chain
-    // as SJF so reservations are reproducible.
-    std::stable_sort(queue_.begin(), queue_.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       const JobSpec& ja = records_[a].spec;
-                       const JobSpec& jb = records_[b].spec;
-                       const SimDuration ba = dag_.bottom_level(ja.id);
-                       const SimDuration bb = dag_.bottom_level(jb.id);
-                       if (ba != bb) return ba > bb;
-                       if (ja.arrival != jb.arrival) {
-                         return ja.arrival < jb.arrival;
-                       }
-                       return ja.id < jb.id;
-                     });
+    // decayed fairshare usage, then the base policy's key — the estimate
+    // (SJF) or the critical-path priority (EASY-CP), whose reservation must
+    // go to the ready job gating the heaviest unfinished subtree.
+    if (config_.policy == BatchPolicy::kEasyCp) ensure_dag();
+    order_queue();
   }
   // A job blocked purely by its queue's node limit must not head-block
   // other queues, so the effective head is the first job whose queue still
@@ -348,6 +301,13 @@ void BatchScheduler::schedule_pass() {
     while (hi < queue_.size() && limit_blocked(queue_[hi])) ++hi;
     if (hi == queue_.size()) break;
     const std::size_t head = queue_[hi];
+    if (promise_holder_ != kNoHolder && promise_holder_ != head) {
+      // Only the head holds an EASY promise: the job that lost the head
+      // gives its promise up.
+      records_[promise_holder_].promised_start = kNoPromise;
+      promise_holder_ = kNoHolder;
+      ++reservation_displacements_;
+    }
     if (try_dispatch(head)) {
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(hi));
       continue;
@@ -365,15 +325,11 @@ void BatchScheduler::schedule_pass() {
 
     // EASY: reserve for the head, then backfill behind the reservation.
     JobRecord& head_rec = records_[head];
-    const auto [reservation, avail_at_resv] =
-        reservation_for(head_rec.spec.nodes, head_rec.spec.estimate);
-    if (reservation != kNoPromise &&
-        reservation < head_rec.promised_start) {
-      head_rec.promised_start = reservation;
+    EasyReservation resv = reservation_for(head);
+    if (resv.at != kNoPromise && resv.at < head_rec.promised_start) {
+      head_rec.promised_start = resv.at;
     }
-    // Nodes expected free at the reservation that backfill may consume
-    // without eating into the head's share.
-    int spare_at_resv = avail_at_resv - head_rec.spec.nodes;
+    promise_holder_ = head;
     const SimTime now = cluster_.engine().now();
     for (std::size_t qi = hi + 1; qi < queue_.size();) {
       const std::size_t idx = queue_[qi];
@@ -382,15 +338,10 @@ void BatchScheduler::schedule_pass() {
         ++qi;
         continue;
       }
-      // Safe if the candidate is (estimated) done before the reservation,
-      // or runs entirely on nodes the reservation does not need.
-      const bool before_resv =
-          reservation == kNoPromise || now + spec.estimate <= reservation;
-      const bool beside_resv =
-          reservation != kNoPromise && spec.nodes <= spare_at_resv;
-      if ((before_resv || beside_resv) && try_dispatch(idx)) {
+      const int cost = resv.backfill_cost(now, spec.nodes, spec.estimate);
+      if (cost >= 0 && try_dispatch(idx)) {
         ++backfills_;
-        if (!before_resv) spare_at_resv -= spec.nodes;
+        resv.spare -= cost;
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(qi));
       } else {
         ++qi;
@@ -426,6 +377,7 @@ bool BatchScheduler::try_dispatch(std::size_t record) {
   if (rec.promised_start != kNoPromise && rec.start > rec.promised_start) {
     ++reservation_violations_;
   }
+  if (record == promise_holder_) promise_holder_ = kNoHolder;
 
   mpi::MpiConfig mc = config_.mpi;
   mc.nranks = rec.spec.nodes * rec.spec.ranks_per_node;
@@ -460,44 +412,20 @@ bool BatchScheduler::try_dispatch(std::size_t record) {
 
 bool BatchScheduler::preempt_for(std::size_t record) {
   const JobRecord& head = records_[record];
-  const int head_prio = queues_[head.queue].priority;
   const int need = head.spec.nodes - allocator_.free_count();
   if (need <= 0) return false;  // blocked by limits/reservations, not nodes
-  struct Victim {
-    int prio;
-    SimTime start;
-    int id;
-    std::size_t rec;
-    int nodes;
-  };
-  std::vector<Victim> cands;
+  std::vector<PreemptCandidate> running;
+  running.reserve(running_.size());
   for (const Running& r : running_) {
     const JobRecord& v = records_[r.record];
-    if (queues_[v.queue].priority >
-        head_prio - config_.preempt.min_priority_gap) {
-      continue;
-    }
-    // The anti-livelock floor: a job suspended max_preempts times becomes
-    // non-preemptable and will eventually drain.
-    if (v.preempts >= config_.preempt.max_preempts) continue;
-    cands.push_back({queues_[v.queue].priority, v.start, v.spec.id, r.record,
-                     static_cast<int>(v.nodes.size())});
+    running.push_back({queues_[v.queue].priority, v.preempts, v.start,
+                       v.spec.id, static_cast<int>(v.nodes.size()),
+                       r.record});
   }
-  // Lowest priority first; among equals the youngest start (least sunk
-  // work past its last checkpoint), ids descending for a total order.
-  std::sort(cands.begin(), cands.end(), [](const Victim& a, const Victim& b) {
-    if (a.prio != b.prio) return a.prio < b.prio;
-    if (a.start != b.start) return a.start > b.start;
-    return a.id > b.id;
-  });
-  int gain = 0;
-  std::size_t take = 0;
-  for (; take < cands.size() && gain < need; ++take) {
-    gain += cands[take].nodes;
-  }
-  if (gain < need) return false;  // suspending everyone still won't fit
-  for (std::size_t i = 0; i < take; ++i) {
-    const std::size_t victim = cands[i].rec;
+  const std::vector<PreemptCandidate> victims = choose_victims(
+      std::move(running), queues_[head.queue].priority, need, config_.preempt);
+  for (const PreemptCandidate& c : victims) {
+    const std::size_t victim = c.ref;
     // abort() can finish a job reentrantly and mutate running_, so each
     // victim is re-found by record index rather than held by iterator.
     const auto it = std::find_if(
@@ -510,7 +438,7 @@ bool BatchScheduler::preempt_for(std::size_t record) {
     it->preempted = true;
     it->job->abort();
   }
-  return true;
+  return !victims.empty();
 }
 
 void BatchScheduler::handle_finish(std::size_t record) {
@@ -548,28 +476,25 @@ void BatchScheduler::handle_finish(std::size_t record) {
   retired_.push_back(std::move(it->job));
   running_.erase(it);
 
-  if (preempted) {
-    --preempt_in_flight_;
-    // Suspend/requeue: bank the iterations the slowest rank committed at
-    // sync points (the first sync is the init barrier), lose the rest, and
-    // re-enter the queue at the original arrival time.
-    const int remaining = rec.spec.iterations - rec.committed_iters;
-    const int newly = std::clamp(min_sync - 1, 0, remaining - 1);
-    rec.committed_iters += newly;
-    const SimDuration kept =
-        static_cast<SimDuration>(newly) * rec.spec.grain;
-    const SimDuration ran = rec.finish - rec.start;
-    rec.preempt_lost += ran > kept ? ran - kept : 0;
-    rec.state = JobState::kQueued;
-    rec.nodes.clear();
-    rec.start = 0;
-    rec.finish = 0;
-    rec.promised_start = kNoPromise;
-    queue_.push_back(record);
-    sample_queue_depth();
-  } else if (failed && config_.resubmit_failed &&
-      rec.resubmits < config_.max_resubmits) {
-    ++rec.resubmits;
+  const bool resubmit = !preempted && failed && config_.resubmit_failed &&
+                        rec.resubmits < config_.max_resubmits;
+  if (preempted || resubmit) {
+    // Suspend/requeue or resubmit: re-enter the queue at the original
+    // arrival time.  A suspension banks the iterations the slowest rank
+    // committed at sync points (the first sync is the init barrier) and
+    // loses the rest.
+    if (preempted) {
+      --preempt_in_flight_;
+      const int remaining = rec.spec.iterations - rec.committed_iters;
+      const int newly = std::clamp(min_sync - 1, 0, remaining - 1);
+      rec.committed_iters += newly;
+      const SimDuration kept =
+          static_cast<SimDuration>(newly) * rec.spec.grain;
+      const SimDuration ran = rec.finish - rec.start;
+      rec.preempt_lost += ran > kept ? ran - kept : 0;
+    } else {
+      ++rec.resubmits;
+    }
     rec.state = JobState::kQueued;
     rec.nodes.clear();
     rec.start = 0;

@@ -30,6 +30,7 @@
 #include "batch/allocator.h"
 #include "batch/fairshare.h"
 #include "batch/job.h"
+#include "batch/policy.h"
 #include "batch/queue.h"
 #include "batch/reservation.h"
 #include "cluster/cluster.h"
@@ -54,22 +55,6 @@ struct NodeFault {
   SimTime at = 0;
   int node = 0;
   bool online = false;  // false = fails at `at`, true = repaired at `at`
-};
-
-/// Suspend/requeue preemption (PBSPro's preempt_order "SR" mode): when the
-/// highest-priority waiting job cannot start, running jobs from queues at
-/// least `min_priority_gap` priority levels below it are suspended —
-/// youngest first — until the candidate fits.  A suspended job keeps the
-/// work its ranks committed at sync-point checkpoints (ClusterJob::
-/// rank_sync_count) and re-enters the queue at its original arrival time;
-/// everything since the last committed sync point is lost and accounted.
-struct PreemptConfig {
-  bool enabled = false;
-  /// Candidate queue priority must exceed the victim's by at least this.
-  int min_priority_gap = 1;
-  /// Suspensions one job may suffer before it becomes non-preemptable
-  /// (the anti-livelock floor).
-  int max_preempts = 2;
 };
 
 struct BatchConfig {
@@ -198,6 +183,12 @@ class BatchScheduler {
   std::uint64_t reservation_violations() const {
     return reservation_violations_;
   }
+  /// EASY promises withdrawn because another job took the head of the
+  /// queue: only the head holds one, so a job reordered behind another
+  /// loses its promise and gets a new one when it heads the queue again.
+  std::uint64_t reservation_displacements() const {
+    return reservation_displacements_;
+  }
   std::uint64_t node_failures() const { return node_failures_; }
   /// Jobs currently held on unfinished dependencies.
   int held_count() const { return held_; }
@@ -244,15 +235,13 @@ class BatchScheduler {
   bool try_dispatch(std::size_t record);
   void handle_finish(std::size_t record);
   void sample_queue_depth();
-  /// Earliest time `need` nodes are expected free — per running-job
-  /// estimates and advance-reservation windows — and the expected
-  /// free-node count at that time.  `est` is the candidate's walltime
-  /// estimate, so the promise also clears reservation admission control.
-  /// Returns {kNoPromise, 0} when the pool can never satisfy the request.
-  std::pair<SimTime, int> reservation_for(int need, SimDuration est) const;
-  /// True when queue priorities or fairshare can reorder the wait queue —
-  /// otherwise the legacy single-queue sort runs bit-for-bit unchanged.
-  bool multi_queue_active() const;
+  /// EASY's promise to the head `record`: the earliest time its nodes are
+  /// expected free — per running-job estimates and advance-reservation
+  /// windows — and clear of reservation admission control.
+  EasyReservation reservation_for(std::size_t record) const;
+  /// False for FCFS and EASY on one plain queue: they keep the queue's
+  /// order, which requeued and released jobs join at the back.
+  bool queue_sorted() const;
   /// (Re)sort queue_ by (queue priority, fairshare usage, policy key).
   void order_queue();
   /// Try to suspend enough low-priority running jobs for the blocked head
@@ -279,6 +268,11 @@ class BatchScheduler {
   bool pass_pending_ = false;
   std::uint64_t backfills_ = 0;
   std::uint64_t reservation_violations_ = 0;
+  std::uint64_t reservation_displacements_ = 0;
+  /// The one record holding an EASY promise (the last head reserved for),
+  /// or kNoHolder.
+  static constexpr std::size_t kNoHolder = ~std::size_t{0};
+  std::size_t promise_holder_ = kNoHolder;
   std::uint64_t node_failures_ = 0;
   // Multi-queue / fairshare / preemption / reservation state.
   std::vector<QueueConfig> queues_;   // resolved (config or default)

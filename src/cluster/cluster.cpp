@@ -1,12 +1,10 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 
 #include "mpi/rank_behavior.h"
 #include "rtc/coordinator.h"
-#include "util/log.h"
 #include "util/rng.h"
 
 namespace hpcs::cluster {
@@ -20,20 +18,10 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
   if (config_.nodes <= 0) {
     throw std::invalid_argument("Cluster: nodes must be positive");
   }
-  net::FabricConfig fabric_config;
-  if (config_.fabric.has_value()) {
-    fabric_config = *config_.fabric;
-    fabric_config.nodes = config_.nodes;
-  } else {
-    static std::once_flag deprecation_once;
-    std::call_once(deprecation_once, [] {
-      HPCS_WARN("ClusterConfig::net_latency is deprecated; set "
-                "ClusterConfig::fabric (falling back to a uniform "
-                "constant-latency fabric)");
-    });
-    fabric_config = net::FabricConfig::uniform(config_.nodes,
-                                               config_.net_latency);
-  }
+  net::FabricConfig fabric_config =
+      config_.fabric.value_or(
+          net::FabricConfig::uniform(config_.nodes, 10 * kMicrosecond));
+  fabric_config.nodes = config_.nodes;
   fabric_ = std::make_unique<net::Fabric>(fabric_config);
   util::SplitMix64 seeder(config_.seed);
   nodes_.reserve(static_cast<std::size_t>(config_.nodes));

@@ -41,12 +41,9 @@ struct ClusterConfig {
   bool spawn_daemons = true;
   bool install_hpl = false;
   hpl::HplOptions hpl_options;
-  /// DEPRECATED: one-way latency of the legacy constant-delay network.  Only
-  /// consulted when `fabric` is unset, in which case it seeds
-  /// net::FabricConfig::uniform (bit-for-bit the old behaviour) and a
-  /// deprecation warning is logged once per process.
-  SimDuration net_latency = 10 * kMicrosecond;
-  /// The interconnect. `nodes` is overridden to match the cluster's.
+  /// The interconnect. `nodes` is overridden to match the cluster's.  Unset
+  /// means net::FabricConfig::uniform(nodes, 10 us): one flat switch with a
+  /// constant 10 us one-way latency.
   std::optional<net::FabricConfig> fabric;
   std::uint64_t seed = 1;
 };

@@ -60,14 +60,13 @@ struct FabricConfig {
   SimDuration backup_extra_latency = 20 * kMicrosecond;
   /// Range of the message-latency histogram (overflow is still counted).
   SimDuration hist_max = 2 * kMillisecond;
-  /// Legacy constant-latency mode: when set, every cross-node message
-  /// arrives exactly this much later (intra-node instantly), links never
-  /// saturate, and overheads are zero — bit-for-bit the behaviour of the
-  /// deprecated ClusterConfig::net_latency scalar.
+  /// Constant-latency mode: when set, every cross-node message arrives
+  /// exactly this much later (intra-node instantly), links never saturate,
+  /// and overheads are zero — bit-for-bit the pre-fabric network model.
   std::optional<SimDuration> uniform_latency;
 
-  /// The legacy network: one flat switch, fixed one-way latency, no
-  /// contention (seeded from the deprecated ClusterConfig::net_latency).
+  /// The pre-fabric network: one flat switch, fixed one-way latency, no
+  /// contention (what a ClusterConfig without a fabric gets, at 10 us).
   static FabricConfig uniform(int nodes, SimDuration remote_latency);
 
   int blocks() const {

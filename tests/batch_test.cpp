@@ -262,6 +262,42 @@ TEST(NodeAllocatorTest, OfflineNodesLeaveThePool) {
   alloc.check_conservation();
 }
 
+TEST(NodeAllocatorTest, SlotApiIsTheNodeApiAtOneSlotPerNode) {
+  // At one slot per node free_slots() is free_count(), and both agree with
+  // a per-node recount through allocate, release, offline and online.
+  NodeAllocator alloc(8, 4);
+  const auto agree = [&alloc] {
+    int recount = 0;
+    for (int n = 0; n < alloc.total(); ++n) {
+      if (alloc.state(n) != NodeState::kOffline) {
+        recount += 1 - alloc.busy_slots(n);
+      }
+    }
+    EXPECT_EQ(alloc.free_slots(), alloc.free_count());
+    EXPECT_EQ(alloc.free_slots(), recount);
+  };
+  agree();
+  const auto a = alloc.allocate_slots(3);
+  ASSERT_TRUE(a.has_value());
+  agree();
+  const auto b = alloc.allocate(2);
+  ASSERT_TRUE(b.has_value());
+  agree();
+  EXPECT_EQ(alloc.set_offline(a->front()), NodeState::kBusy);
+  agree();
+  EXPECT_EQ(alloc.set_offline(7), NodeState::kFree);
+  agree();
+  alloc.release_slots(*a);
+  agree();
+  alloc.set_online(a->front());
+  alloc.set_online(7);
+  agree();
+  alloc.release(*b);
+  agree();
+  EXPECT_EQ(alloc.free_slots(), 8);
+  alloc.check_conservation();
+}
+
 TEST(NodeAllocatorTest, ReleasingAFreeNodeThrows) {
   NodeAllocator alloc(2, 2);
   EXPECT_THROW(alloc.release({0}), std::logic_error);
@@ -413,6 +449,50 @@ TEST(BatchSchedulerTest, EasyNeverDelaysReservedHeadAcrossATrace) {
           << "job " << rec.spec.id << " started after its reservation";
     }
   }
+}
+
+TEST(BatchSchedulerTest, EasyPromiseFollowsTheHeadUnderQueuesAndFairshare) {
+  // Priorities and fairshare reorder the queue, so the head changes hands.
+  // Only the head holds a promise: the job it was taken from loses its
+  // promise (a displacement), and no job starts after a promise it holds.
+  std::uint64_t displacements = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    sim::Engine engine;
+    cluster::Cluster cluster(engine, quiet_cluster(4));
+    BatchConfig config = deterministic_config(BatchPolicy::kEasy);
+    QueueConfig express;
+    express.name = "express";
+    express.priority = 10;
+    express.max_nodes = 2;
+    express.max_walltime = 200 * kMillisecond;
+    QueueConfig workq;
+    workq.name = "workq";
+    config.queues = {express, workq};
+    config.fairshare.enabled = true;
+    config.fairshare.halflife = 1 * kSecond;
+    BatchScheduler sched(cluster, config);
+    ArrivalConfig ac;
+    ac.jobs = 40;
+    ac.max_nodes = 4;
+    ac.ranks_per_node = 2;
+    ac.mean_interarrival = 10 * kMillisecond;
+    ac.runtime_typical = 30 * kMillisecond;
+    ac.grain = 2 * kMillisecond;
+    ac.estimate_factor = 3.0;
+    ac.users = 6;
+    ac.user_zipf = 1.2;
+    sched.submit_all(generate_arrivals(ac, seed));
+    engine.run_until(60 * kSecond);
+    ASSERT_TRUE(sched.all_done()) << seed;
+    EXPECT_EQ(sched.reservation_violations(), 0u) << seed;
+    for (const auto& rec : sched.records()) {
+      if (rec.promised_start != kNoPromise) {
+        EXPECT_LE(rec.start, rec.promised_start) << seed << " " << rec.spec.id;
+      }
+    }
+    displacements += sched.reservation_displacements();
+  }
+  EXPECT_GE(displacements, 1u);
 }
 
 // --- conservation & faults ---------------------------------------------------

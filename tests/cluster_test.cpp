@@ -100,7 +100,7 @@ TEST(ClusterTest, NetworkLatencyDelaysRemoteRelease) {
   auto finish_with_latency = [](SimDuration latency) {
     sim::Engine engine;
     ClusterConfig config = quiet_config(2);
-    config.net_latency = latency;
+    config.fabric = net::FabricConfig::uniform(2, latency);
     Cluster cluster(engine, config);
     mpi::Program p;
     p.loop(50).compute(microseconds(100), 0.0).barrier().end_loop();

@@ -273,7 +273,6 @@ SimTime run_quiet_legacy(std::optional<net::FabricConfig> fabric) {
   ClusterConfig config;
   config.nodes = 4;
   config.spawn_daemons = false;
-  config.net_latency = 25 * kMicrosecond;
   config.fabric = fabric;
   Cluster cl(engine, config);
   mpi::Program p;
@@ -291,15 +290,16 @@ SimTime run_quiet_legacy(std::optional<net::FabricConfig> fabric) {
 }
 
 TEST(GoldenTest, QuietClusterBitForBit) {
-  // Captured from the pre-fabric implementation (constant net_latency,
-  // flat collectives).  The deprecated-alias path must reproduce it
-  // EXACTLY: any drift means the uniform fabric is not a faithful stand-in.
-  EXPECT_EQ(run_quiet_legacy(std::nullopt), 17794868u);
-}
-
-TEST(GoldenTest, ExplicitUniformFabricMatchesAlias) {
+  // Captured from the pre-fabric implementation (a constant 25 us network
+  // latency, flat collectives).  The uniform fabric must reproduce it
+  // EXACTLY: any drift means it is not a faithful stand-in.
   EXPECT_EQ(run_quiet_legacy(net::FabricConfig::uniform(4, 25 * kMicrosecond)),
             17794868u);
+}
+
+TEST(GoldenTest, UnsetFabricIsUniformTenMicroseconds) {
+  EXPECT_EQ(run_quiet_legacy(std::nullopt),
+            run_quiet_legacy(net::FabricConfig::uniform(4, 10 * kMicrosecond)));
 }
 
 TEST(GoldenTest, NoisyHplClusterBitForBit) {
@@ -310,7 +310,7 @@ TEST(GoldenTest, NoisyHplClusterBitForBit) {
   config.nodes = 2;
   config.seed = 7;
   config.install_hpl = true;
-  config.net_latency = 10 * kMicrosecond;
+  config.fabric = net::FabricConfig::uniform(2, 10 * kMicrosecond);
   Cluster cl(engine, config);
   mpi::Program p;
   p.barrier();

@@ -116,6 +116,8 @@ int Harness::threads() const {
   return static_cast<int>(cli_.get_int("threads", 1));
 }
 
+bool Harness::has(const std::string& name) const { return cli_.has(name); }
+
 std::string Harness::get(const std::string& name,
                          const std::string& fallback) const {
   return cli_.get(name, fallback);

@@ -63,6 +63,8 @@ class Harness {
   int runs() const;
   std::uint64_t seed() const;
   int threads() const;
+  /// True when `name` was given on the command line, not just defaulted.
+  bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;

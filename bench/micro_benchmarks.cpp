@@ -86,6 +86,38 @@ void BM_EngineCancelHeavyThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelHeavyThroughput)->Arg(10000)->Arg(100000);
 
+void BM_EngineHold(benchmark::State& state) {
+  // The classic hold model: n events stay pending, and each dispatch
+  // re-arms its own event with reschedule() at now plus a seeded random
+  // delay.  The sizes bracket one NAS node, twolevel's 16 nodes and
+  // scale_loaded's heap high-water (about 2k).  Items = dispatches.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr int kHolds = 100'000;
+  struct Hold {
+    sim::Engine engine;
+    util::Rng rng{42};
+    std::vector<sim::EventId> ids;
+    int left = kHolds;
+  };
+  for (auto _ : state) {
+    Hold h;
+    h.ids.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      h.ids[i] = h.engine.schedule_at(h.rng.uniform_u64(0, 1000), [&h, i] {
+        if (--h.left == 0) {
+          h.engine.stop();
+          return;
+        }
+        const SimDuration delay = h.rng.uniform_u64(1, 1000);
+        h.engine.reschedule(h.ids[i], h.engine.now() + delay);
+      });
+    }
+    benchmark::DoNotOptimize(h.engine.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kHolds);
+}
+BENCHMARK(BM_EngineHold)->Arg(16)->Arg(256)->Arg(4096);
+
 struct BenchItem {
   explicit BenchItem(std::uint64_t k, int i) : key(k), id(i) {
     node.owner = this;

@@ -8,55 +8,45 @@
 
 namespace hpcs::sim {
 
-bool Engine::entry_less(std::uint32_t a, std::uint32_t b) const {
-  const Slot& sa = slots_[a];
-  const Slot& sb = slots_[b];
-  if (sa.when != sb.when) return sa.when < sb.when;
-  return sa.seq < sb.seq;
+void Engine::place(std::size_t pos, const Entry& e) {
+  heap_[pos] = e;
+  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void Engine::heap_swap(std::size_t a, std::size_t b) {
-  std::swap(heap_[a], heap_[b]);
-  slots_[heap_[a]].heap_pos = static_cast<std::uint32_t>(a);
-  slots_[heap_[b]].heap_pos = static_cast<std::uint32_t>(b);
-}
-
-void Engine::sift_up(std::size_t pos) {
+void Engine::sift_up(std::size_t pos, Entry e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 2;
-    if (!entry_less(heap_[pos], heap_[parent])) break;
-    heap_swap(pos, parent);
+    if (!(e < heap_[parent])) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
+  place(pos, e);
 }
 
-void Engine::sift_down(std::size_t pos) {
+void Engine::sift_down(std::size_t pos, Entry e) {
   const std::size_t n = heap_.size();
   for (;;) {
-    std::size_t smallest = pos;
-    const std::size_t l = 2 * pos + 1;
-    const std::size_t r = 2 * pos + 2;
-    if (l < n && entry_less(heap_[l], heap_[smallest])) smallest = l;
-    if (r < n && entry_less(heap_[r], heap_[smallest])) smallest = r;
-    if (smallest == pos) return;
-    heap_swap(pos, smallest);
-    pos = smallest;
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < e)) break;
+    place(pos, heap_[child]);
+    pos = child;
   }
+  place(pos, e);
 }
 
 void Engine::heap_remove(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  slots_[heap_[pos]].heap_pos = kNpos;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    slots_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
-    heap_.pop_back();
-    // The replacement came from the bottom: it can only need to move down,
-    // unless the removed entry was below its own parent's subtree minimum.
-    sift_down(pos);
-    sift_up(pos);
+  slots_[heap_[pos].slot].heap_pos = kNpos;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the removed entry was the last one
+  // The bottom entry fills the hole.  It can order before the hole's parent
+  // only when it comes from another subtree; then it moves up, else down.
+  if (pos > 0 && last < heap_[(pos - 1) / 2]) {
+    sift_up(pos, last);
   } else {
-    heap_.pop_back();
+    sift_down(pos, last);
   }
 }
 
@@ -81,12 +71,10 @@ EventId Engine::schedule_at(SimTime when, Callback fn) {
     slots_.emplace_back();
   }
   Slot& s = slots_[idx];
-  s.when = when;
-  s.seq = next_seq_++;
   s.fn = std::move(fn);
-  s.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(idx);
-  sift_up(s.heap_pos);
+  const Entry e{when, next_seq_++, idx};
+  heap_.push_back(e);  // a hole at the bottom, filled by sift_up
+  sift_up(heap_.size() - 1, e);
   ++stats_.scheduled;
   if (heap_.size() > stats_.heap_high_water) {
     stats_.heap_high_water = heap_.size();
@@ -104,7 +92,7 @@ void Engine::count_due_from(std::size_t pos, SimTime limit, std::size_t cap,
                             std::size_t& count) const {
   // A parent never orders after its children, so the due entries form a
   // subtree at the root: stop at the first entry past `limit` on each path.
-  if (count >= cap || pos >= heap_.size() || slots_[heap_[pos]].when > limit) {
+  if (count >= cap || pos >= heap_.size() || heap_[pos].when > limit) {
     return;
   }
   ++count;
@@ -138,17 +126,16 @@ bool Engine::reschedule(EventId id, SimTime when) {
   if (when < now_) {
     throw std::logic_error("Engine::reschedule: event in the past");
   }
-  Slot* s = pending_slot(id);
+  const Slot* s = pending_slot(id);
   if (s == nullptr) return false;
-  const SimTime old = s->when;
-  s->when = when;
-  s->seq = next_seq_++;
+  const std::size_t pos = s->heap_pos;
+  const Entry e{when, next_seq_++, heap_[pos].slot};
   // The fresh seq exceeds every queued one, so the key only grows unless
   // the event moved earlier in time.
-  if (when < old) {
-    sift_up(s->heap_pos);
+  if (when < heap_[pos].when) {
+    sift_up(pos, e);
   } else {
-    sift_down(s->heap_pos);
+    sift_down(pos, e);
   }
   ++stats_.rescheduled;
   return true;
@@ -167,16 +154,16 @@ void Engine::advance_clock(SimTime when) {
 }
 
 void Engine::dispatch_top() {
-  const std::uint32_t idx = heap_[0];
+  const std::uint32_t idx = heap_[0].slot;
+  const std::uint64_t seq = heap_[0].seq;
   const std::uint32_t gen = slots_[idx].gen;
-  const std::uint64_t seq = slots_[idx].seq;
   // Call from a local: a nested schedule_at may grow slots_ and move every
   // record, callback storage included.
   Callback fn = std::move(slots_[idx].fn);
   auto finish = [&] {
     Slot& s = slots_[idx];
     if (s.gen != gen) return;  // cancelled: the slot is no longer ours
-    if (s.seq != seq) {        // re-armed: still pending, keep the callback
+    if (heap_[s.heap_pos].seq != seq) {  // re-armed: keep the callback
       s.fn = std::move(fn);
       return;
     }
@@ -201,7 +188,7 @@ std::uint64_t Engine::run() {
   same_instant_ = 0;
   std::uint64_t n = 0;
   while (!stopped_ && !heap_.empty()) {
-    advance_clock(slots_[heap_[0]].when);
+    advance_clock(heap_[0].when);
     dispatch_top();
     ++n;
     if (post_dispatch_) post_dispatch_();
@@ -219,7 +206,7 @@ std::uint64_t Engine::run_until(SimTime limit) {
   same_instant_ = 0;
   std::uint64_t n = 0;
   while (!stopped_ && !heap_.empty()) {
-    const SimTime when = slots_[heap_[0]].when;
+    const SimTime when = heap_[0].when;
     if (when > limit) break;
     advance_clock(when);
     dispatch_top();

@@ -10,10 +10,15 @@
 // dispatch, cancel and reschedule are all O(log n) with no per-event map
 // nodes, and cancel removes the entry in place — cancellation-heavy workloads
 // (timer re-arming, preemption churn) cannot grow the heap with tombstones.
-// Slot records (including their callback storage) are recycled through a
-// free list, so steady-state scheduling performs no allocation beyond what
-// the callbacks themselves capture.  A periodic timer re-arms its own slot
-// with reschedule() and allocates nothing at all.
+// Each heap entry carries its event's whole (time, sequence) key next to the
+// slot index, so a sift compares entries without touching the slots, and it
+// moves a hole: each level writes one entry and that entry's slot position.
+// Since (time, sequence) is a strict total order, the dispatch sequence is a
+// function of the keys alone, never of the heap's layout.  Slot records
+// (including their callback storage) are recycled through a free list, so
+// steady-state scheduling performs no allocation beyond what the callbacks
+// themselves capture.  A periodic timer re-arms its own slot with
+// reschedule() and allocates nothing at all.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +92,7 @@ class Engine {
   /// execution window.  Inside a callback that has not moved its own event
   /// this reads now().
   SimTime next_event_time() const {
-    return heap_.empty() ? kNoEvent : slots_[heap_[0]].when;
+    return heap_.empty() ? kNoEvent : heap_[0].when;
   }
 
   /// Pending events with time <= `limit`, counted up to `cap`: returns
@@ -152,12 +157,21 @@ class Engine {
   /// One pooled event record.  `heap_pos` doubles as the liveness flag:
   /// kNpos means the slot is free (on the free list).
   struct Slot {
-    SimTime when = 0;
-    std::uint64_t seq = 0;       // tie-break: dispatch in scheduling order
     Callback fn;
-    std::uint32_t gen = 1;       // bumped on release; part of the EventId
+    std::uint32_t gen = 1;  // bumped on release; part of the EventId
     std::uint32_t heap_pos = kNpos;
     std::uint32_t next_free = kNpos;
+  };
+
+  /// One heap entry: a pending event's ordering key and its slot.
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;  // tie-break: dispatch in scheduling order
+    std::uint32_t slot;
+
+    bool operator<(const Entry& o) const {
+      return when != o.when ? when < o.when : seq < o.seq;
+    }
   };
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
@@ -167,10 +181,13 @@ class Engine {
   /// The slot `id` names while its event is pending, else nullptr.
   Slot* pending_slot(EventId id);
 
-  bool entry_less(std::uint32_t a, std::uint32_t b) const;
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  void heap_swap(std::size_t a, std::size_t b);
+  /// Store `e` at `pos` and point its slot there.
+  void place(std::size_t pos, const Entry& e);
+  /// Fill the hole at `pos` with `e`: sift_up moves the hole toward the root
+  /// past every parent that orders after `e`, sift_down toward the leaves
+  /// past every smaller child that orders before it.
+  void sift_up(std::size_t pos, Entry e);
+  void sift_down(std::size_t pos, Entry e);
   /// count_due's walk of the subtree at `pos`; recursion depth is the heap
   /// height.
   void count_due_from(std::size_t pos, SimTime limit, std::size_t cap,
@@ -195,7 +212,7 @@ class Engine {
   std::uint64_t same_instant_limit_ = kDefaultSameInstantLimit;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNpos;
-  std::vector<std::uint32_t> heap_;  // slot indices, min-heap on (when, seq)
+  std::vector<Entry> heap_;  // min-heap on (when, seq)
   EngineStats stats_;
 };
 

@@ -71,9 +71,8 @@ void ShardedEngine::send(int src, int dst, SimTime when, Engine::Callback fn) {
         std::to_string(source.engine.now()) + "ns + lookahead=" +
         std::to_string(lookahead_) + "ns)");
   }
-  source.outbox.push_back(PendingSend{when, static_cast<std::uint32_t>(src),
-                                      static_cast<std::uint32_t>(dst),
-                                      source.send_seq++, std::move(fn)});
+  source.outbox.push_back(
+      PendingSend{when, static_cast<std::uint32_t>(dst), std::move(fn)});
 }
 
 bool ShardedEngine::drained() const {
@@ -89,27 +88,21 @@ void ShardedEngine::stop(int s) {
 }
 
 void ShardedEngine::exchange() {
-  // Drain every outbox into one batch and deliver in a deterministic total
-  // order: (arrival time, source shard, per-source sequence).  The order is
-  // a pure function of the simulation — never of thread timing — which is
-  // what makes sharded runs reproducible at any thread count.
+  // Deliver outbox by outbox, in shard order and each in send order.  A
+  // destination orders by time and then by scheduling order, so its
+  // equal-time arrivals run in (source shard, send order): a pure function
+  // of the simulation, never of thread timing, which is what makes sharded
+  // runs reproducible at any thread count.
+  std::size_t batch = 0;
   for (const auto& sh : shards_) {
-    for (auto& msg : sh->outbox) exchange_buf_.push_back(std::move(msg));
+    for (auto& msg : sh->outbox) {
+      shards_[msg.dst]->engine.schedule_at(msg.when, std::move(msg.fn));
+    }
+    batch += sh->outbox.size();
     sh->outbox.clear();
   }
-  std::sort(exchange_buf_.begin(), exchange_buf_.end(),
-            [](const PendingSend& a, const PendingSend& b) {
-              if (a.when != b.when) return a.when < b.when;
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  stats_.messages += exchange_buf_.size();
-  stats_.exchange_high_water =
-      std::max(stats_.exchange_high_water, exchange_buf_.size());
-  for (auto& msg : exchange_buf_) {
-    shards_[msg.dst]->engine.schedule_at(msg.when, std::move(msg.fn));
-  }
-  exchange_buf_.clear();
+  stats_.messages += batch;
+  stats_.exchange_high_water = std::max(stats_.exchange_high_water, batch);
 }
 
 bool ShardedEngine::window_is_thin() const {
@@ -167,7 +160,8 @@ void ShardedEngine::exchange_and_plan() {
     }
   } catch (...) {
     record_error();
-    exchange_buf_.clear();  // a failed delivery leaves the batch half-moved
+    // A failed delivery leaves the outboxes half-moved.
+    for (const auto& sh : shards_) sh->outbox.clear();
     done_ = true;
   }
 }

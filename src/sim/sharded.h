@@ -15,11 +15,12 @@
 // pending event time m and lets every shard run independently up to the
 // window limit L = m + lookahead - 1: no message generated during the round
 // can arrive at or before L (send time >= m, delay >= lookahead), so no
-// shard can receive an event in its past.  At the round barrier, all
-// cross-shard sends are drained from per-shard outboxes, sorted by
-// (arrival time, source shard, source sequence), and scheduled into their
-// destination engines — one deterministic total order, independent of
-// thread count and thread timing.  Rounds repeat until every queue drains.
+// shard can receive an event in its past.  At the round barrier, the
+// per-shard outboxes are drained in shard order, each in send order, into
+// their destination engines.  A destination orders by time and then by
+// scheduling order, so its equal-time arrivals run in (source shard, send
+// order) — one deterministic total order, independent of thread count and
+// thread timing.  Rounds repeat until every queue drains.
 //
 // Thin windows never reach the workers.  The barrier's completion step is
 // single-threaded, and after planning a window it checks how much work the
@@ -58,8 +59,7 @@ struct ShardedStats {
   std::uint64_t inline_rounds = 0;  // of those, run without the workers
   std::uint64_t messages = 0;       // cross-shard events exchanged
   std::uint64_t dispatched = 0;     // events dispatched across all shards
-  /// Most cross-shard messages exchanged at one barrier (bounds the
-  /// per-round sort cost).
+  /// Most cross-shard messages exchanged at one barrier.
   std::size_t exchange_high_water = 0;
 };
 
@@ -131,16 +131,13 @@ class ShardedEngine {
  private:
   struct PendingSend {
     SimTime when = 0;
-    std::uint32_t src = 0;
     std::uint32_t dst = 0;
-    std::uint64_t seq = 0;  // per-source send order
     Engine::Callback fn;
   };
 
   struct Shard {
     Engine engine;
-    std::vector<PendingSend> outbox;  // drained at each round barrier
-    std::uint64_t send_seq = 0;
+    std::vector<PendingSend> outbox;  // in send order; drained at barriers
   };
 
   /// Worker loop: one per thread, started once a wide window is planned;
@@ -161,7 +158,6 @@ class ShardedEngine {
 
   SimDuration lookahead_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<PendingSend> exchange_buf_;  // reused by every exchange
   // Round state written by exchange_and_plan(), read by workers.
   SimTime window_limit_ = 0;
   bool done_ = false;

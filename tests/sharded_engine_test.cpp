@@ -183,6 +183,68 @@ TEST(ShardedEngine, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(ShardedEngine, EqualTimeMessagesRunInSourceThenSendOrder) {
+  // Shards 0-2 message shard 3, before run() and from callbacks, at one
+  // instant and at interleaved instants, in send orders that differ from
+  // source order.  Equal-time messages exchanged at one barrier must run in
+  // (source shard, send order), behind the destination's own events already
+  // queued for that instant and ahead of those it schedules later.
+  // DeterministicAcrossThreadCounts only compares thread counts with each
+  // other; this pins the order itself.
+  const std::string expected =
+      "100:local 100:0a 100:0b 100:1a 100:2a 100:2b "
+      "200:local-before 200:0x 200:0y 200:1x 200:1y 200:2x 200:2y "
+      "200:local-after 205:2i 206:0t 206:1i 206:1t 206:2t 207:0i ";
+  for (int threads : {1, 2, 4}) {
+    ShardedEngine engine(4, 10);
+    std::string got;  // appended to on shard 3 only
+    auto at3 = [&engine, &got](const std::string& tag) {
+      return [&engine, &got, tag] {
+        got += std::to_string(engine.shard(3).now()) + ":" + tag + " ";
+      };
+    };
+    engine.shard(3).schedule_at(100, at3("local"));
+    engine.send(2, 3, 100, at3("2a"));
+    engine.send(0, 3, 100, at3("0a"));
+    engine.send(1, 3, 100, at3("1a"));
+    engine.send(0, 3, 100, at3("0b"));
+    engine.send(2, 3, 100, at3("2b"));
+    // Every source sends at t=40, so all of it meets at one barrier: two
+    // messages at 200, one at 207 - src, and one at 206, where source 1's
+    // interleaved message also lands.
+    for (int src : {2, 0, 1}) {
+      const std::string s = std::to_string(src);
+      engine.shard(src).schedule_at(40, [&engine, &at3, src, s] {
+        engine.send(src, 3, 200, at3(s + "x"));
+        engine.send(src, 3, static_cast<SimTime>(207 - src), at3(s + "i"));
+        engine.send(src, 3, 200, at3(s + "y"));
+        engine.send(src, 3, 206, at3(s + "t"));
+      });
+    }
+    // Shard 3's own events at 200: one scheduled in the sending window, one
+    // after the barrier that delivered the messages.
+    engine.shard(3).schedule_at(40, [&engine, &at3] {
+      engine.shard(3).schedule_at(200, at3("local-before"));
+    });
+    engine.shard(3).schedule_at(150, [&engine, &at3] {
+      engine.shard(3).schedule_at(200, at3("local-after"));
+    });
+    // Filler on the sources, two events per ns up to t=300, makes those
+    // windows wide, so the workers run them at 2 and 4 threads.
+    for (int src = 0; src < 3; ++src) {
+      for (SimTime at = 1; at <= 300; ++at) {
+        engine.shard(src).schedule_at(at, [] {});
+        engine.shard(src).schedule_at(at, [] {});
+      }
+    }
+    engine.run(threads);
+    EXPECT_TRUE(engine.drained());
+    EXPECT_EQ(got, expected) << "threads=" << threads;
+    EXPECT_EQ(engine.stats().messages, 17u);
+    EXPECT_LT(engine.stats().inline_rounds, engine.stats().rounds);
+  }
+}
+
 TEST(ShardedEngine, ThinWindowsRunWithoutTheWorkers) {
   // The ring never queues more than five events (one per local chain, plus
   // the token), far under the 32 due events that make a window wide.

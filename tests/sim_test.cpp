@@ -4,10 +4,14 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.h"
@@ -506,6 +510,211 @@ TEST(EngineCountDueTest, AgreesWithALinearScanOracle) {
     ASSERT_EQ(engine.pending(), pending.size());
   }
   EXPECT_GT(callbacks, 1000);
+}
+
+// --- deep heap ---------------------------------------------------------------
+
+/// The reference for the deep-heap test: every pending event in an ordered
+/// set keyed by (when, order of its last schedule or reschedule), and the
+/// labels of pending events in a dense list to draw random victims from.
+class HeapOracle {
+ public:
+  struct Event {
+    EventId id = kInvalidEventId;
+    SimTime when = 0;
+    std::uint64_t order = 0;
+    std::size_t live_pos = 0;  // index in live_
+  };
+
+  /// A label for the next event; its callback can capture it before
+  /// schedule_at() returns the id.
+  int reserve() {
+    events_.emplace_back();
+    return static_cast<int>(events_.size()) - 1;
+  }
+  void add(int label, EventId id, SimTime when) {
+    Event& e = edit(label);
+    e.id = id;
+    e.live_pos = live_.size();
+    live_.push_back(label);
+    enqueue(label, when);
+  }
+  void move(int label, SimTime when) {
+    dequeue(label);
+    enqueue(label, when);
+  }
+  void remove(int label) {
+    dequeue(label);
+    const std::size_t pos = event(label).live_pos;
+    live_[pos] = live_.back();
+    edit(live_[pos]).live_pos = pos;
+    live_.pop_back();
+  }
+
+  const Event& event(int label) const {
+    return events_[static_cast<std::size_t>(label)];
+  }
+  std::size_t size() const { return live_.size(); }
+  int pick(util::Rng& rng) const {
+    return live_[rng.uniform_u64(0, live_.size() - 1)];
+  }
+  int top() const { return std::get<2>(*queue_.begin()); }
+  SimTime next_time() const {
+    return queue_.empty() ? kNoEvent : std::get<0>(*queue_.begin());
+  }
+  std::size_t count_due(SimTime limit, std::size_t cap) const {
+    std::size_t n = 0;
+    for (const auto& entry : queue_) {
+      if (n == cap || std::get<0>(entry) > limit) break;
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  Event& edit(int label) { return events_[static_cast<std::size_t>(label)]; }
+  void enqueue(int label, SimTime when) {
+    Event& e = edit(label);
+    e.when = when;
+    e.order = next_order_++;
+    queue_.emplace(e.when, e.order, label);
+  }
+  void dequeue(int label) {
+    const Event& e = event(label);
+    queue_.erase({e.when, e.order, label});
+  }
+
+  std::vector<Event> events_;  // by label
+  std::vector<int> live_;
+  std::set<std::tuple<SimTime, std::uint64_t, int>> queue_;
+  std::uint64_t next_order_ = 0;
+};
+
+TEST(EngineTest, DeepHeapDispatchesInOracleOrder) {
+  // A seeded mix of schedules, cancels, reschedules earlier and later, and
+  // single dispatches grows the heap past 4,000 pending events and drains
+  // it again.  Callbacks re-arm themselves, cancel themselves (a successor
+  // then takes the freed slot) and schedule more.  Times come from a 40 ns
+  // span, so ties are common.  Every dispatch must be the oracle's minimum,
+  // and pending(), next_event_time() and count_due() must agree with the
+  // oracle after every step and inside every callback.
+  constexpr SimTime kSpan = 40;
+  constexpr std::array<std::size_t, 3> kCaps = {1, 32, 300};
+  Engine engine;
+  HeapOracle oracle;
+  util::Rng rng(0x4ea9);
+  std::function<void(int)> on_dispatch;
+  auto schedule = [&](SimTime when) {
+    const int label = oracle.reserve();
+    auto fn = [&on_dispatch, label] { on_dispatch(label); };
+    oracle.add(label, engine.schedule_at(when, fn), when);
+  };
+  std::size_t deepest = 0;
+  auto check = [&](const char* where) {
+    ASSERT_EQ(engine.pending(), oracle.size()) << where;
+    ASSERT_EQ(engine.next_event_time(), oracle.next_time()) << where;
+    const SimTime now = engine.now();
+    const SimTime near = now + rng.uniform_u64(0, kSpan);
+    for (const SimTime limit : {now, near, kNoEvent}) {
+      for (const std::size_t cap : kCaps) {
+        ASSERT_EQ(engine.count_due(limit, cap), oracle.count_due(limit, cap))
+            << where << " limit=" << limit << " cap=" << cap;
+      }
+    }
+    deepest = std::max(deepest, oracle.size());
+  };
+
+  std::uint64_t dispatched = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t rescheduled = 0;
+  int fired = -1;
+  bool fired_stays = false;  // the callback re-armed or cancelled itself
+  bool callbacks_act = true;
+  on_dispatch = [&](int label) {
+    fired = label;
+    fired_stays = false;
+    // Still queued at now() until this returns, and the oracle's minimum.
+    EXPECT_EQ(label, oracle.top());
+    EXPECT_EQ(engine.now(), oracle.event(label).when);
+    check("in callback");
+    engine.stop();  // one dispatch per run()
+    if (!callbacks_act) return;
+    const EventId self = oracle.event(label).id;
+    const SimTime when = engine.now() + rng.uniform_u64(0, kSpan);
+    switch (rng.uniform_u64(0, 7)) {
+      case 0:
+        ASSERT_TRUE(engine.reschedule(self, when));
+        oracle.move(label, when);
+        ++rescheduled;
+        fired_stays = true;
+        break;
+      case 1:
+        ASSERT_TRUE(engine.cancel(self));
+        oracle.remove(label);
+        ++cancelled;
+        fired_stays = true;
+        schedule(when);
+        break;
+      case 2:
+        schedule(when);
+        break;
+      default:
+        break;
+    }
+    check("after callback work");
+  };
+  auto dispatch_one = [&] {
+    ASSERT_EQ(engine.run(), 1u);
+    ++dispatched;
+    if (!fired_stays) oracle.remove(fired);
+  };
+
+  // Each step draws its operation from the phase's ten letters: schedule,
+  // reschedule earlier, reschedule later, cancel, dispatch.  The first
+  // phase grows the heap by about 0.44 events a step, the second shrinks it
+  // by about 0.38.
+  for (const std::string_view mix : {"sssssselcd", "selcdddddd"}) {
+    for (int step = 0; step < 12'000; ++step) {
+      const char op = oracle.size() == 0 ? 's' : mix[rng.uniform_u64(0, 9)];
+      const SimTime now = engine.now();
+      const int label = op == 's' ? -1 : oracle.pick(rng);
+      switch (op) {
+        case 's':
+          schedule(now + rng.uniform_u64(0, kSpan));
+          break;
+        case 'e':
+        case 'l': {
+          const SimTime old = oracle.event(label).when;
+          const SimTime when = op == 'e' ? rng.uniform_u64(now, old)
+                                         : old + rng.uniform_u64(0, kSpan);
+          ASSERT_TRUE(engine.reschedule(oracle.event(label).id, when));
+          oracle.move(label, when);
+          ++rescheduled;
+          break;
+        }
+        case 'c':
+          ASSERT_TRUE(engine.cancel(oracle.event(label).id));
+          oracle.remove(label);
+          ++cancelled;
+          break;
+        default:
+          ASSERT_NO_FATAL_FAILURE(dispatch_one());
+          break;
+      }
+      ASSERT_NO_FATAL_FAILURE(check("between steps"));
+    }
+  }
+  callbacks_act = false;
+  while (oracle.size() > 0) {
+    ASSERT_NO_FATAL_FAILURE(dispatch_one());
+    ASSERT_NO_FATAL_FAILURE(check("draining"));
+  }
+
+  EXPECT_GE(deepest, 4000u);
+  EXPECT_EQ(engine.stats().heap_high_water, deepest);
+  EXPECT_EQ(engine.stats().dispatched, dispatched);
+  EXPECT_EQ(engine.stats().cancelled, cancelled);
+  EXPECT_EQ(engine.stats().rescheduled, rescheduled);
 }
 
 // --- trace -------------------------------------------------------------------

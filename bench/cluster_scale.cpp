@@ -99,12 +99,11 @@ int main(int argc, char** argv) {
               serial_s * 1e3 / runs,
               static_cast<unsigned long long>(serial.events));
   std::printf("  sharded: %7.1f ms/run  (%llu/%llu rounds inline, %llu "
-              "cross-shard msgs, %d threads)\n",
+              "gossip landings, %d threads)\n",
               sharded_s * 1e3 / runs,
               static_cast<unsigned long long>(sharded.inline_rounds),
               static_cast<unsigned long long>(sharded.rounds),
-              static_cast<unsigned long long>(sharded.forwards +
-                                              sharded.gossip_messages),
+              static_cast<unsigned long long>(sharded.gossip_messages),
               threads);
   std::printf("  speedup: %.2fx   schedule: %s\n", serial_s / sharded_s,
               identical ? "bit-identical" : "DIVERGED");

@@ -9,6 +9,7 @@
 // diffs against bench/baselines/.  Pass --benchmark_repetitions=N to give
 // bench_compare a non-zero confidence interval to judge against.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <memory>
@@ -244,7 +245,8 @@ BENCHMARK(BM_FullRunIsA)
 // computes its own mean/stddev/CI across repeats.
 class HarnessReporter : public benchmark::ConsoleReporter {
  public:
-  explicit HarnessReporter(bench::Harness& harness) : harness_(harness) {}
+  HarnessReporter(bench::Harness& harness, OutputOptions options)
+      : benchmark::ConsoleReporter(options), harness_(harness) {}
 
   void ReportRuns(const std::vector<Run>& report) override {
     benchmark::ConsoleReporter::ReportRuns(report);
@@ -282,12 +284,16 @@ int main(int argc, char** argv) {
       "micro_benchmarks",
       "google-benchmark microbenchmarks of the simulator substrate");
   // Split argv: --benchmark_* goes to google-benchmark, the rest (telemetry
-  // controls) to the harness.
+  // controls) to the harness.  The console table is coloured only on a
+  // terminal, and never under --benchmark_color=false.
   std::vector<char*> gbench_args{argv[0]};
   std::vector<const char*> harness_args{argv[0]};
+  bool color = isatty(STDOUT_FILENO) != 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).rfind("--benchmark_", 0) == 0) {
+    const std::string_view arg(argv[i]);
+    if (arg.rfind("--benchmark_", 0) == 0) {
       gbench_args.push_back(argv[i]);
+      if (arg == "--benchmark_color=false") color = false;
     } else {
       harness_args.push_back(argv[i]);
     }
@@ -298,7 +304,9 @@ int main(int argc, char** argv) {
   }
   int gbench_argc = static_cast<int>(gbench_args.size());
   benchmark::Initialize(&gbench_argc, gbench_args.data());
-  HarnessReporter reporter(harness);
+  HarnessReporter reporter(
+      harness, color ? benchmark::ConsoleReporter::OO_ColorTabular
+                     : benchmark::ConsoleReporter::OO_Tabular);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return harness.finish();

@@ -9,6 +9,12 @@
 // each other only through grid-aligned messages at least the partition's
 // lookahead apart, so serial and sharded runs are bit-identical.
 //
+// Free-capacity gossip is coalesced: each shard keeps one inbox ordered by
+// landing instant, and one landing event per (shard, instant) applies every
+// value landing then and requests at most one pass.  A serial run posts a
+// broadcast at once; a sharded one at the next barrier, through the
+// engine's post-exchange hook, so both runs dispatch the same events.
+//
 // The policy is the CRTP `Sim`: it supplies pass(s, t) and collect().
 // `Job` is its queue record (arrival, id, nodes, home_shard, forwards),
 // `Outcome` its per-job result (arrival, finish), `ShardExt` its own
@@ -76,6 +82,11 @@ class Driver {
       sharded_->send(src, dst, when, std::move(fn));
     }
   }
+  bool serial() const { return serial_ != nullptr; }
+  /// Sharded runs: run `fn` at every barrier (nullptr clears it).
+  void at_barrier(std::function<void()> fn) {
+    if (sharded_ != nullptr) sharded_->set_post_exchange(std::move(fn));
+  }
 
  private:
   sim::Engine* serial_ = nullptr;
@@ -89,14 +100,29 @@ class FederatedCore {
     for (int s = 0; s < shard_count(); ++s) schedule_next_arrival(s);
   }
 
+  FederatedCore(const FederatedCore&) = delete;
+  FederatedCore& operator=(const FederatedCore&) = delete;
+  ~FederatedCore() { drv_.at_barrier(nullptr); }
+
  protected:
   using Queue = std::map<std::pair<SimTime, std::uint32_t>, Job>;
+  /// One free-capacity value on its way to a shard.
+  struct Gossip {
+    SimTime when;  // landing instant
+    int from;
+    int free;
+  };
   struct Shard : ShardExt {
     int base_node = 0;
     std::unique_ptr<NodeAllocator> alloc;  // shard-local node ids
     Queue queue;                  // by the globally-unique (arrival, id)
     std::vector<int> known_free;  // last gossiped free slots per shard
     int advertised_free = -1;     // what we last broadcast
+    // By landing instant, in post order within one; drained from the front.
+    std::vector<Gossip> gossip_in;
+    // Sharded runs: this window's broadcasts (landing, free), published at
+    // the next barrier.
+    std::vector<std::pair<SimTime, int>> gossip_out;
     bool pass_pending = false;
     std::size_t next_arrival = 0;  // cursor into arrivals_[shard]
     // Results, merged after the run.
@@ -140,6 +166,7 @@ class FederatedCore {
       }
       sh.advertised_free = sh.known_free[static_cast<std::size_t>(s)];
     }
+    drv_.at_barrier([this] { publish_window(); });
   }
 
   Shard& shard(int s) { return shards_[static_cast<std::size_t>(s)]; }
@@ -278,12 +305,38 @@ class FederatedCore {
     const int free_now = sh.alloc->free_slots();
     if (free_now == sh.advertised_free) return;
     sh.advertised_free = free_now;
-    const SimTime when = landing(t);
+    // Other shards' inboxes belong to other threads until the barrier.
+    if (drv_.serial()) {
+      publish(s, landing(t), free_now);
+    } else {
+      sh.gossip_out.emplace_back(landing(t), free_now);
+    }
+  }
+
+  /// The barrier's half of a sharded broadcast: every shard's posts of the
+  /// window, in shard order and each in post order.
+  void publish_window() {
+    for (int s = 0; s < shard_count(); ++s) {
+      Shard& sh = shard(s);
+      for (const auto& [when, free] : sh.gossip_out) publish(s, when, free);
+      sh.gossip_out.clear();
+    }
+  }
+
+  /// Post `free` from `from` to every other shard for instant `when`, with
+  /// a landing event where the inbox holds no post for it yet.  A barrier
+  /// can publish out of landing order, when its window spans several pass
+  /// instants, so a post goes in after every post for `when` or earlier.
+  void publish(int from, SimTime when, int free) {
     for (int k = 0; k < shard_count(); ++k) {
-      if (k == s) continue;
-      drv_.remote(s, k, when, [this, k, when, s, free_now] {
-        on_gossip(k, when, s, free_now);
-      });
+      if (k == from) continue;
+      std::vector<Gossip>& inbox = shard(k).gossip_in;
+      const auto at = std::upper_bound(
+          inbox.begin(), inbox.end(), when,
+          [](SimTime w, const Gossip& g) { return w < g.when; });
+      const bool fresh = at == inbox.begin() || (at - 1)->when != when;
+      inbox.insert(at, Gossip{when, from, free});
+      if (fresh) drv_.local(k, when, [this, k] { on_gossip(k); });
     }
   }
 
@@ -318,10 +371,19 @@ class FederatedCore {
     request_pass(s, t);
   }
 
-  void on_gossip(int s, SimTime t, int from, int free) {
+  /// The landing event of the inbox's front instant: every value landing
+  /// then, in post order.  A source posts at most once per landing instant
+  /// (its passes are a cycle apart), so the values commute.
+  void on_gossip(int s) {
     Shard& sh = shard(s);
+    std::vector<Gossip>& inbox = sh.gossip_in;
+    const SimTime t = inbox.front().when;
+    auto it = inbox.begin();
+    for (; it != inbox.end() && it->when == t; ++it) {
+      sh.known_free[static_cast<std::size_t>(it->from)] = it->free;
+    }
+    inbox.erase(inbox.begin(), it);
     ++sh.gossip_received;
-    sh.known_free[static_cast<std::size_t>(from)] = free;
     // A blocked queue may now have somewhere to go.
     if (!sh.queue.empty()) request_pass(s, t);
   }

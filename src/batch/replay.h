@@ -103,6 +103,7 @@ struct ReplayResult {
   int rejected = 0;                    // jobs no queue admitted
   SimTime makespan = 0;
   std::uint64_t forwards = 0;
+  /// Free-capacity gossip landing events (one per shard and instant).
   std::uint64_t gossip_messages = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t events = 0;

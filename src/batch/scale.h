@@ -195,7 +195,9 @@ struct ScaleResult {
   std::vector<ScaleJobOutcome> jobs;  // by job id; every job finishes
   SimTime makespan = 0;               // first arrival -> last finish
   std::uint64_t forwards = 0;         // cross-shard job migrations
-  std::uint64_t gossip_messages = 0;  // free-capacity broadcasts delivered
+  /// Free-capacity gossip landing events: one per shard and instant at
+  /// which any other shard's broadcast lands, however many land then.
+  std::uint64_t gossip_messages = 0;
   std::uint64_t events = 0;           // engine events dispatched
   std::uint64_t rounds = 0;           // conservative windows (0 when serial)
   std::uint64_t inline_rounds = 0;    // of those, run without the workers

@@ -123,6 +123,7 @@ void ShardedEngine::exchange_and_plan() {
   try {
     for (;;) {
       exchange();
+      if (post_exchange_) post_exchange_();
       if (stop_.load(std::memory_order_relaxed) ||
           has_error_.load(std::memory_order_relaxed)) {
         done_ = true;

@@ -17,10 +17,12 @@
 // can arrive at or before L (send time >= m, delay >= lookahead), so no
 // shard can receive an event in its past.  At the round barrier, the
 // per-shard outboxes are drained in shard order, each in send order, into
-// their destination engines.  A destination orders by time and then by
-// scheduling order, so its equal-time arrivals run in (source shard, send
-// order) — one deterministic total order, independent of thread count and
-// thread timing.  Rounds repeat until every queue drains.
+// their destination engines, and then an optional post-exchange hook runs.
+// A destination orders by time and then by scheduling order, so its
+// equal-time arrivals run in (exchange round, source shard, send order),
+// with the hook's events last in their round — one deterministic total
+// order, independent of thread count and thread timing.  Rounds repeat
+// until every queue drains.
 //
 // Thin windows never reach the workers.  The barrier's completion step is
 // single-threaded, and after planning a window it checks how much work the
@@ -46,6 +48,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -87,12 +90,27 @@ class ShardedEngine {
   /// executing on shard `src`.  Enforces the conservative constraint
   /// when >= shard(src).now() + lookahead for src != dst (same-shard sends
   /// degrade to a local schedule_at).  Delivery order for equal `when` is
-  /// (source shard, per-shard send sequence) — deterministic, never
-  /// thread-timing dependent.  During run() the conservative window makes
-  /// that constraint sufficient; for sends *between* runs, `when` must also
-  /// be >= the destination shard's clock, which can sit ahead of a source
-  /// that idled through the previous run (delivery throws otherwise).
+  /// (exchange round, source shard, send order): a send exchanged at a
+  /// later barrier runs after every earlier barrier's, whatever their
+  /// sources, and within one barrier events the post-exchange hook
+  /// schedules run last.  Deterministic, never thread-timing dependent.
+  /// During run() the conservative window makes that constraint
+  /// sufficient; for sends *between* runs, `when` must also be >= the
+  /// destination shard's clock, which can sit ahead of a source that idled
+  /// through the previous run (delivery throws otherwise).
   void send(int src, int dst, SimTime when, Engine::Callback fn);
+
+  /// Install (or clear, with nullptr) a hook that runs single-threaded
+  /// after every exchange (before the first window, after each window,
+  /// inline or not, and after the last), once the outboxes are delivered
+  /// and before the next window is planned.  It may read every shard and
+  /// schedule on any shard(s) at times past the last window's limit; those
+  /// events count toward the next plan.  A throwing hook stops the run, and
+  /// run() rethrows it.  Single slot: the last installer wins; the hook
+  /// must outlive any run.
+  void set_post_exchange(Engine::Callback fn) {
+    post_exchange_ = std::move(fn);
+  }
 
   /// Run all shards conservatively until every queue drains or stop was
   /// requested.  `threads` caps worker parallelism (0 = hardware
@@ -123,9 +141,10 @@ class ShardedEngine {
   const ShardedStats& stats() const { return stats_; }
 
   /// Internal: the single-threaded barrier step (drain outboxes, deliver in
-  /// deterministic order, plan the next window, and run thin windows until
-  /// a wide one needs the workers).  Public only so the round barrier's
-  /// noexcept completion hook can reach it; never call directly.
+  /// deterministic order, run the post-exchange hook, plan the next window,
+  /// and run thin windows until a wide one needs the workers).  Public only
+  /// so the round barrier's noexcept completion hook can reach it; never
+  /// call directly.
   void exchange_and_plan();
 
  private:
@@ -167,6 +186,7 @@ class ShardedEngine {
   std::atomic<std::uint64_t> dispatched_this_run_{0};
   std::exception_ptr first_error_;
   std::atomic<bool> has_error_{false};
+  Engine::Callback post_exchange_;
   ShardedStats stats_;
 };
 

@@ -152,7 +152,10 @@ TEST(ClusterScale, LightScenarioGoldenPin) {
   EXPECT_EQ(serial.checksum(), kLightGolden);
   EXPECT_EQ(serial.jobs.size(), 2000u);
   EXPECT_EQ(serial.rounds, 0u);
-  EXPECT_GT(serial.gossip_messages, 0u);
+  // Gossip lands as one event per shard and instant: 8,405 of them, where
+  // one event per broadcast and destination took 10,887.
+  EXPECT_EQ(serial.events, 16090u);
+  EXPECT_EQ(serial.gossip_messages, 8405u);
 }
 
 TEST(ClusterScale, LightScenarioShardedMatchesSerial) {
@@ -172,7 +175,8 @@ TEST(ClusterScale, ContendedScenarioGoldenPin) {
   EXPECT_EQ(serial.checksum(), kContendedGolden);
   // The load-sharing machinery is genuinely exercised here.
   EXPECT_GT(serial.forwards, 1000u);
-  EXPECT_GT(serial.gossip_messages, 1000u);
+  EXPECT_EQ(serial.events, 17075u);
+  EXPECT_EQ(serial.gossip_messages, 5314u);
   EXPECT_GT(serial.utilization, 0.8);
   EXPECT_GT(serial.mean_wait_s, 1.0);
   EXPECT_GE(serial.mean_slowdown, 1.0);
@@ -187,6 +191,7 @@ TEST(ClusterScale, ContendedScenarioShardedMatchesSerial) {
         batch::run_scale_sharded(contended_config(), threads);
     expect_identical(serial, sharded);
     EXPECT_EQ(sharded.checksum(), kContendedGolden) << threads;
+    EXPECT_EQ(sharded.events, serial.events) << threads;
   }
 }
 
@@ -196,15 +201,18 @@ TEST(ClusterScale, ContendedScenarioShardedMatchesSerial) {
 /// enough shards to go to the workers, so both execution paths interleave.
 ScaleConfig wide_config() {
   ScaleConfig cfg = contended_config();
-  cfg.nodes = 1024;
+  cfg.nodes = 4096;
   cfg.shards = 16;
-  cfg.arrivals.jobs = 800;
-  cfg.arrivals.mean_interarrival = 2 * kMillisecond;
+  cfg.arrivals.jobs = 3200;
+  cfg.arrivals.mean_interarrival = 1 * kMillisecond;
   return cfg;
 }
 
+constexpr std::uint64_t kWideGolden = 0xb09dacca2b829c24ULL;
+
 TEST(ClusterScale, WideScenarioShardedMatchesSerialOnBothPaths) {
   const ScaleResult serial = batch::run_scale_serial(wide_config());
+  EXPECT_EQ(serial.checksum(), kWideGolden);
   for (int threads : {1, 2, 4}) {
     const ScaleResult sharded =
         batch::run_scale_sharded(wide_config(), threads);
@@ -214,6 +222,40 @@ TEST(ClusterScale, WideScenarioShardedMatchesSerialOnBothPaths) {
     // the workers, and some run inline.
     EXPECT_GT(sharded.inline_rounds, 0u) << threads;
     EXPECT_LT(sharded.inline_rounds * 10, sharded.rounds * 9) << threads;
+  }
+}
+
+/// A 1 us cycle under the fabric's 6 us lookahead: one conservative window
+/// spans several pass instants, so a barrier publishes one window's gossip
+/// out of landing order, and every inbox must take it in order.
+ScaleConfig sub_lookahead_config() {
+  ScaleConfig cfg;
+  cfg.nodes = 1024;
+  cfg.shards = 4;
+  cfg.fabric.nodes_per_switch = 16;
+  cfg.cycle = 1 * kMicrosecond;
+  cfg.arrivals.jobs = 1500;
+  cfg.arrivals.mean_interarrival = 1 * kMicrosecond;
+  cfg.arrivals.max_nodes = 48;
+  cfg.arrivals.nodes_log_mean = 1.8;
+  cfg.arrivals.runtime_typical = 100 * kMicrosecond;
+  cfg.seed = 11;
+  return cfg;
+}
+
+constexpr std::uint64_t kSubLookaheadGolden = 0x36f20efade3ce8f9ULL;
+
+TEST(ClusterScale, SubLookaheadCycleShardedMatchesSerial) {
+  const ScaleConfig cfg = sub_lookahead_config();
+  ASSERT_LT(cfg.cycle, batch::scale_lookahead(cfg));
+  const ScaleResult serial = batch::run_scale_serial(cfg);
+  EXPECT_EQ(serial.checksum(), kSubLookaheadGolden);
+  EXPECT_GT(serial.forwards, 1000u);
+  for (int threads : {1, 2, 4}) {
+    const ScaleResult sharded = batch::run_scale_sharded(cfg, threads);
+    expect_identical(serial, sharded);
+    EXPECT_EQ(sharded.checksum(), kSubLookaheadGolden) << threads;
+    EXPECT_EQ(sharded.events, serial.events) << threads;
   }
 }
 
@@ -297,28 +339,65 @@ TEST(ClusterScaleCkpt, CampaignScenarioGoldenPin) {
   EXPECT_EQ(serial.ckpt.pfs.writes, serial.ckpt.checkpoints);  // selfish
 }
 
+/// Every checkpoint/fault counter is part of the determinism contract.
+void expect_same_ckpt(const ScaleResult& serial, const ScaleResult& sharded) {
+  EXPECT_EQ(sharded.ckpt.checkpoints, serial.ckpt.checkpoints);
+  EXPECT_EQ(sharded.ckpt.aborted_writes, serial.ckpt.aborted_writes);
+  EXPECT_EQ(sharded.ckpt.failures_hit, serial.ckpt.failures_hit);
+  EXPECT_EQ(sharded.ckpt.failures_idle, serial.ckpt.failures_idle);
+  EXPECT_EQ(sharded.ckpt.restarts, serial.ckpt.restarts);
+  EXPECT_EQ(sharded.ckpt.interval_stretches, serial.ckpt.interval_stretches);
+  EXPECT_EQ(sharded.ckpt.ckpt_write_ns, serial.ckpt.ckpt_write_ns);
+  EXPECT_EQ(sharded.ckpt.ckpt_stall_ns, serial.ckpt.ckpt_stall_ns);
+  EXPECT_EQ(sharded.ckpt.lost_work_ns, serial.ckpt.lost_work_ns);
+  EXPECT_EQ(sharded.ckpt.restart_stall_ns, serial.ckpt.restart_stall_ns);
+  EXPECT_EQ(sharded.ckpt.pfs.writes, serial.ckpt.pfs.writes);
+  EXPECT_EQ(sharded.ckpt.pfs.queued_ns, serial.ckpt.pfs.queued_ns);
+}
+
 TEST(ClusterScaleCkpt, CampaignShardedMatchesSerialAt124Threads) {
   const ScaleConfig cfg = ckpt_campaign_config();
   const ScaleResult serial = batch::run_scale_serial(cfg);
   for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
     const ScaleResult sharded = batch::run_scale_sharded(cfg, threads);
     expect_identical(serial, sharded);
-    EXPECT_EQ(sharded.checksum(), kCkptCampaignGolden) << threads;
-    // Every checkpoint/fault counter is part of the determinism contract.
-    EXPECT_EQ(sharded.ckpt.checkpoints, serial.ckpt.checkpoints) << threads;
-    EXPECT_EQ(sharded.ckpt.aborted_writes, serial.ckpt.aborted_writes);
-    EXPECT_EQ(sharded.ckpt.failures_hit, serial.ckpt.failures_hit);
-    EXPECT_EQ(sharded.ckpt.failures_idle, serial.ckpt.failures_idle);
-    EXPECT_EQ(sharded.ckpt.restarts, serial.ckpt.restarts);
-    EXPECT_EQ(sharded.ckpt.interval_stretches, serial.ckpt.interval_stretches);
-    EXPECT_EQ(sharded.ckpt.ckpt_write_ns, serial.ckpt.ckpt_write_ns);
-    EXPECT_EQ(sharded.ckpt.ckpt_stall_ns, serial.ckpt.ckpt_stall_ns);
-    EXPECT_EQ(sharded.ckpt.lost_work_ns, serial.ckpt.lost_work_ns);
-    EXPECT_EQ(sharded.ckpt.restart_stall_ns, serial.ckpt.restart_stall_ns);
-    EXPECT_EQ(sharded.ckpt.pfs.writes, serial.ckpt.pfs.writes);
-    EXPECT_EQ(sharded.ckpt.pfs.queued_ns, serial.ckpt.pfs.queued_ns);
-    // A few of its windows go to the workers, the rest run inline.
-    EXPECT_LT(sharded.inline_rounds, sharded.rounds) << threads;
+    EXPECT_EQ(sharded.checksum(), kCkptCampaignGolden);
+    EXPECT_EQ(sharded.events, serial.events);
+    expect_same_ckpt(serial, sharded);
+  }
+}
+
+/// The campaign on sixteen shards with a denser, shorter job stream: the
+/// 8-shard campaign above runs every window inline, while here about a
+/// tenth of the windows go to the workers.
+ScaleConfig wide_ckpt_campaign_config() {
+  ScaleConfig cfg = ckpt_campaign_config();
+  cfg.shards = 16;
+  cfg.arrivals.jobs = 3000;
+  cfg.arrivals.mean_interarrival = 1 * kMillisecond;
+  cfg.arrivals.runtime_typical = 2 * kSecond;
+  return cfg;
+}
+
+constexpr std::uint64_t kWideCkptCampaignGolden = 0x7b1bd8820ded4a11ULL;
+
+TEST(ClusterScaleCkpt, WideCampaignShardedMatchesSerialOnBothPaths) {
+  const ScaleConfig cfg = wide_ckpt_campaign_config();
+  const ScaleResult serial = batch::run_scale_serial(cfg);
+  EXPECT_EQ(serial.checksum(), kWideCkptCampaignGolden);
+  EXPECT_GT(serial.ckpt.checkpoints, 0u);
+  EXPECT_GT(serial.ckpt.failures_hit, 0u);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    const ScaleResult sharded = batch::run_scale_sharded(cfg, threads);
+    expect_identical(serial, sharded);
+    EXPECT_EQ(sharded.checksum(), kWideCkptCampaignGolden);
+    EXPECT_EQ(sharded.events, serial.events);
+    expect_same_ckpt(serial, sharded);
+    // Some of its windows go to the workers, the rest run inline.
+    EXPECT_GT(sharded.inline_rounds, 0u);
+    EXPECT_LT(sharded.inline_rounds, sharded.rounds);
   }
 }
 

@@ -149,6 +149,7 @@ TEST(ReplayTest, FullPolicyStackShardedMatchesSerialAndPin) {
     EXPECT_EQ(sharded.preemptions, serial.preemptions) << threads;
     EXPECT_EQ(sharded.forwards, serial.forwards) << threads;
     EXPECT_EQ(sharded.gossip_messages, serial.gossip_messages) << threads;
+    EXPECT_EQ(sharded.events, serial.events) << threads;
     EXPECT_EQ(sharded.preempt_lost_s, serial.preempt_lost_s) << threads;
   }
 }

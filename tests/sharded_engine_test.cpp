@@ -3,6 +3,7 @@
 // count, the lookahead guard, and stop/resume semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -188,12 +189,14 @@ TEST(ShardedEngine, EqualTimeMessagesRunInSourceThenSendOrder) {
   // instant and at interleaved instants, in send orders that differ from
   // source order.  Equal-time messages exchanged at one barrier must run in
   // (source shard, send order), behind the destination's own events already
-  // queued for that instant and ahead of those it schedules later.
+  // queued for that instant and ahead of those it schedules later; a
+  // message exchanged at a later barrier runs after them all, whatever its
+  // source, so the order is (exchange round, source shard, send order).
   // DeterministicAcrossThreadCounts only compares thread counts with each
   // other; this pins the order itself.
   const std::string expected =
       "100:local 100:0a 100:0b 100:1a 100:2a 100:2b "
-      "200:local-before 200:0x 200:0y 200:1x 200:1y 200:2x 200:2y "
+      "200:local-before 200:0x 200:0y 200:1x 200:1y 200:2x 200:2y 200:1z "
       "200:local-after 205:2i 206:0t 206:1i 206:1t 206:2t 207:0i ";
   for (int threads : {1, 2, 4}) {
     ShardedEngine engine(4, 10);
@@ -221,8 +224,13 @@ TEST(ShardedEngine, EqualTimeMessagesRunInSourceThenSendOrder) {
         engine.send(src, 3, 206, at3(s + "t"));
       });
     }
+    // Source 1 sends for 200 again at t=70, a later window than source 2's
+    // t=40 sends: its message runs after theirs.
+    engine.shard(1).schedule_at(70, [&engine, &at3] {
+      engine.send(1, 3, 200, at3("1z"));
+    });
     // Shard 3's own events at 200: one scheduled in the sending window, one
-    // after the barrier that delivered the messages.
+    // after the barriers that delivered the messages.
     engine.shard(3).schedule_at(40, [&engine, &at3] {
       engine.shard(3).schedule_at(200, at3("local-before"));
     });
@@ -240,8 +248,98 @@ TEST(ShardedEngine, EqualTimeMessagesRunInSourceThenSendOrder) {
     engine.run(threads);
     EXPECT_TRUE(engine.drained());
     EXPECT_EQ(got, expected) << "threads=" << threads;
-    EXPECT_EQ(engine.stats().messages, 17u);
+    EXPECT_EQ(engine.stats().messages, 18u);
     EXPECT_LT(engine.stats().inline_rounds, engine.stats().rounds);
+  }
+}
+
+TEST(ShardedEngine, PostExchangeHookRunsAtEveryBarrier) {
+  // The hook runs on one thread at every barrier: before the first window,
+  // after every window, inline or on the workers, and after the last.  It
+  // runs after the barrier's deliveries and before the next plan, so an
+  // event it schedules counts toward that plan, and runs after the
+  // messages that barrier delivered for the same instant and before those
+  // of later barriers.
+  const std::string expected = "3:first 200:local 200:0m 200:hook 200:1m ";
+  for (int threads : {1, 2, 4}) {
+    ShardedEngine engine(4, 10);
+    std::atomic<int> running{0};  // callbacks executing right now
+    std::string got;              // appended to on shard 3 only
+    auto at3 = [&engine, &got](const std::string& tag) {
+      return [&engine, &got, tag] {
+        got += std::to_string(engine.shard(3).now()) + ":" + tag + " ";
+      };
+    };
+    bool sent = false;  // written on shard 0, read by the hook
+    bool hooked = false;
+    std::uint64_t calls = 0;
+    engine.set_post_exchange([&] {
+      EXPECT_EQ(running.load(), 0);
+      if (calls++ == 0) {
+        std::uint64_t dispatched = 0;
+        for (int s = 0; s < engine.num_shards(); ++s) {
+          dispatched += engine.shard(s).dispatched();
+        }
+        EXPECT_EQ(dispatched, 0u);
+        engine.shard(3).schedule_at(3, at3("first"));
+      }
+      if (sent && !hooked) {
+        hooked = true;
+        engine.shard(3).schedule_at(200, at3("hook"));
+      }
+    });
+    engine.shard(3).schedule_at(40, [&engine, &at3] {
+      engine.shard(3).schedule_at(200, at3("local"));
+    });
+    engine.shard(0).schedule_at(40, [&engine, &at3, &sent] {
+      engine.send(0, 3, 200, at3("0m"));
+      sent = true;
+    });
+    engine.shard(1).schedule_at(70, [&engine, &at3] {
+      engine.send(1, 3, 200, at3("1m"));
+    });
+    // Filler on the sources, two events per ns up to t=150, makes those
+    // windows wide, so the workers run them at 2 and 4 threads; the
+    // windows at 200 hold shard 3 alone and run inline.
+    for (int src = 0; src < 3; ++src) {
+      for (SimTime at = 1; at <= 150; ++at) {
+        for (int k = 0; k < 2; ++k) {
+          engine.shard(src).schedule_at(at, [&running] {
+            ++running;
+            --running;
+          });
+        }
+      }
+    }
+    engine.run(threads);
+    EXPECT_TRUE(engine.drained());
+    EXPECT_EQ(got, expected) << "threads=" << threads;
+    EXPECT_EQ(calls, engine.stats().rounds + 1) << threads;
+    EXPECT_GT(engine.stats().inline_rounds, 0u);
+    EXPECT_LT(engine.stats().inline_rounds, engine.stats().rounds);
+  }
+}
+
+TEST(ShardedEngine, ThrowingPostExchangeHookIsRethrown) {
+  for (int threads : {1, 2}) {
+    ShardedEngine engine(2, 10);
+    bool late_ran = false;
+    engine.shard(0).schedule_at(5, [] {});
+    engine.shard(1).schedule_at(500, [&late_ran] { late_ran = true; });
+    int calls = 0;
+    engine.set_post_exchange([&calls] {
+      if (++calls == 2) throw std::runtime_error("hook failure");
+    });
+    try {
+      engine.run(threads);
+      ADD_FAILURE() << "run() did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "hook failure");
+    }
+    // The hook threw at the barrier after the first window, [5, 14].
+    EXPECT_EQ(calls, 2);
+    EXPECT_FALSE(late_ran);
+    EXPECT_EQ(engine.stats().rounds, 1u);
   }
 }
 
